@@ -156,6 +156,8 @@ def _eval_generalized(args, n: int):
     parser = args.parser
     if args.ln_a is None or args.ln_b is None:
         parser.error("--generalized evaluation needs --ln-a and --ln-b")
+    if args.order_margin < 0:
+        parser.error("the order margin must be non-negative")
     order = n + args.order_margin
     try:
         if args.poly is not None:

@@ -3,8 +3,10 @@
 A :class:`PowerSeries` stores the coefficients ``c_0 .. c_N`` of one series in
 ``t``; ``N`` is the (inclusive) truncation order and is always explicit.
 Combining two series truncates to the smaller order, and nothing ever extends
-an order silently.  Coefficients may be ``Rational`` or ``MultiPoly`` and the
-two mix freely, since the polynomial type absorbs rational scalars.
+an order silently.  Coefficients may be ``Rational`` or ``MultiPoly``, and
+the ring operations, division and calculus mix the two freely, since the
+polynomial type absorbs rational scalars.  Composition is the exception: it
+runs on integers and takes rational coefficients only.
 
 Division is valuation-aware: numerator and denominator are both shifted down
 by the denominator's valuation before the usual recurrence runs, so quotients
@@ -20,17 +22,17 @@ the polylogarithm and through the equivalent nested-integration recipe.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .exact import MultiPoly, format_poly, format_rational
 
 __all__ = [
     "PowerSeries",
-    "ps_arith",
     "ps_div",
     "ps_compose",
     "ps_exp_linear",
-    "ps_calculus",
     "polylog_series",
     "gf_poly_bernoulli",
     "gf_iterated_integral",
@@ -209,17 +211,6 @@ def _unit_inverse(c) -> Fraction:
     return _F1 / Fraction(c)
 
 
-def ps_arith(op: str, s1: PowerSeries, s2: PowerSeries) -> PowerSeries:
-    """Dispatch add/sub/mul on series (results truncate to the smaller order)."""
-    if op == "add":
-        return s1 + s2
-    if op == "sub":
-        return s1 - s2
-    if op == "mul":
-        return s1 * s2
-    raise ValueError(f"unknown series operation: {op!r}")
-
-
 def ps_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
     """Valuation-aware quotient.
 
@@ -252,17 +243,38 @@ def ps_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
 def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     """Substitute ``inner`` (with zero constant term) into ``outer``.
 
-    Evaluated by a Horner walk from the top coefficient down, truncating at
-    the smaller of the two orders throughout.
+    Both series must have rational coefficients (a ``MultiPoly`` coefficient
+    raises ``ValueError``); the result has the smaller of the two orders.
+
+    Horner's scheme from the top coefficient down, on integers: ``inner`` is
+    put over one common denominator once, and the running value is an integer
+    vector over a single denominator, with its content divided out each step.
+    Since ``inner`` has no constant term, the value at step ``j`` is only needed
+    to order ``n - j`` (``n`` being the result's order), so each step is a
+    truncated, shifted convolution.
     """
     if inner.coeffs[0] != 0:
         raise ValueError("composition requires an inner series with zero constant term")
+    if any(isinstance(c, MultiPoly) for c in outer.coeffs + inner.coeffs):
+        raise ValueError("composition requires rational coefficients")
     n = min(outer.order, inner.order)
-    inner_t = inner.truncate(n)
-    result = PowerSeries.constant(outer.coeffs[n], n)
+    inner_den = lcm(*(c.denominator for c in inner.coeffs[1 : n + 1]))
+    inner_num = [c.numerator * (inner_den // c.denominator) for c in inner.coeffs[1 : n + 1]]
+    top = outer.coeffs[n]
+    num, den = [top.numerator], top.denominator
     for j in range(n - 1, -1, -1):
-        result = result * inner_t + outer.coeffs[j]
-    return result
+        # outer_j + inner * value, to order n - j; value is known to order n - j - 1
+        c = outer.coeffs[j]
+        step_den = lcm(inner_den * den, c.denominator)
+        scale = step_den // (inner_den * den)
+        rev = num[::-1]
+        num = [c.numerator * (step_den // c.denominator)] + [
+            scale * sum(map(mul, inner_num[:m], rev[-m:])) for m in range(1, len(rev) + 1)
+        ]
+        g = gcd(step_den, *num)
+        den = step_den // g
+        num = [a // g for a in num]
+    return PowerSeries([Fraction(a, den) for a in num])
 
 
 def ps_exp_linear(c, order: int) -> PowerSeries:
@@ -277,15 +289,6 @@ def ps_exp_linear(c, order: int) -> PowerSeries:
     for n in range(1, order + 1):
         coeffs.append(coeffs[-1] * c * Fraction(1, n))
     return PowerSeries(coeffs)
-
-
-def ps_calculus(op: str, s: PowerSeries) -> PowerSeries:
-    """Dispatch termwise calculus: ``diff`` or ``integrate``."""
-    if op == "diff":
-        return s.diff()
-    if op == "integrate":
-        return s.integrate()
-    raise ValueError(f"unknown calculus operation: {op!r}")
 
 
 def polylog_series(k: int, order: int) -> PowerSeries:

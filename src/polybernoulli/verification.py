@@ -216,6 +216,10 @@ def run_suite(
     hi = 3 if k_max is None else k_max
     if lo > hi:
         raise ValueError("the k range is empty")
+    if n_max is not None and n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    if margin < 0:
+        raise ValueError("the order margin must be non-negative")
     k_set = range(lo, hi + 1)
 
     def n_or(default: int) -> int:

@@ -180,6 +180,27 @@ def test_usage_errors_exit_two(capsys, argv):
     assert exc.value.code == 2
 
 
+MARGIN_MESSAGE = "the order margin must be non-negative"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("eval --number 5 -k 2 --generalized --ln-a=1 --ln-b=1 --order-margin=-1", MARGIN_MESSAGE),
+        ("verify --suite oracle --order-margin=-1", MARGIN_MESSAGE),
+        ("verify --suite T3 --n-max -1", "n_max must be non-negative"),
+    ],
+)
+def test_bad_input_exits_two_with_one_line_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert "error: " in last and message in last
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -1,8 +1,9 @@
+import functools
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polybernoulli.exact import LA, LB, LC, MultiPoly, X
@@ -12,8 +13,6 @@ from polybernoulli.series import (
     gf_iterated_integral,
     gf_poly_bernoulli,
     polylog_series,
-    ps_arith,
-    ps_calculus,
     ps_compose,
     ps_div,
     ps_exp_linear,
@@ -49,7 +48,7 @@ def test_orders_truncate_to_min():
     b = series_of(1, 1)
     assert (a + b).order == 1
     assert (a * b).order == 1
-    assert ps_arith("sub", a, b).coeffs == (F(0), F(1))
+    assert (a - b).coeffs == (F(0), F(1))
 
 
 def test_mul_is_cauchy():
@@ -150,18 +149,61 @@ def test_compose_with_zero_inner():
     assert ps_compose(outer, PowerSeries.zero(2)).coeffs == (F(7), F(0), F(0))
 
 
+def inner_powers(inner, n):
+    """inner^0, ..., inner^n, each truncated to order n."""
+    inner = inner.truncate(n)
+    powers = [PowerSeries.one(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * inner)
+    return powers
+
+
+def power_sum_reference(outer, powers):
+    """sum_j outer_j * inner^j over the given powers: the composition by definition."""
+    expected = PowerSeries.zero(powers[0].order)
+    for c, power in zip(outer.coeffs, powers):
+        expected = expected + c * power
+    return expected
+
+
 @given(rational_series(max_order=5), rational_series(min_order=1, max_order=5))
+@example(series_of(1, 2, 3, 4), series_of(0, 1, 2, 3, 4, 5, 6, 7, 8, 9))
+@example(series_of(*range(1, 11)), series_of(0, F(1, 2), 3, F(-1, 3)))
+@example(series_of(F(5, 3)), series_of(0, 1, 2, 3, 4, 5))
+@example(series_of(F(5, 3), 1, F(1, 4), 7, 2, -1), series_of(0, F(-2, 7)))
+@example(  # interior zeros in both operands
+    series_of(F(1, 2), -3, 0, F(5, 7), 0, 0, F(-1, 9), 2, 0, F(4, 3)),
+    series_of(0, 0, F(3, 4), 0, 0, F(-2, 5), 0, 1, 0, F(1, 6)),
+)
 @settings(max_examples=30)
 def test_compose_matches_polynomial_expansion(outer, inner):
     inner = PowerSeries((F(0),) + inner.coeffs[1:])
     got = ps_compose(outer, inner)
     n = min(outer.order, inner.order)
-    expected = PowerSeries.zero(n)
-    power = PowerSeries.one(n)
-    for j in range(n + 1):
-        expected = expected + outer.coeffs[j] * power
-        power = power * inner.truncate(n)
-    assert got == expected
+    assert got == power_sum_reference(outer, inner_powers(inner, n))
+
+
+@functools.cache
+def exp_powers(s):
+    return inner_powers(1 - ps_exp_linear(-s, 40), 40)
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+@pytest.mark.parametrize("s", [F(1), F(7, 15), F(-17, 12), F(3, 5)])
+def test_compose_polylog_matches_power_sum(k, s):
+    # Both operands at a lower order are truncations of those at order 40,
+    # so one reference at order 40 serves every order.
+    expected = power_sum_reference(polylog_series(k, 40), exp_powers(s))
+    for order in range(1, 41):
+        got = ps_compose(polylog_series(k, order), 1 - ps_exp_linear(-s, order))
+        assert got == expected.truncate(order)
+
+
+def test_compose_rejects_polynomial_coefficients():
+    with pytest.raises(ValueError, match="rational coefficients"):
+        ps_compose(PowerSeries([F(1), LA]), series_of(0, 1))
+    with pytest.raises(ValueError, match="rational coefficients"):
+        ps_compose(series_of(1, 1), PowerSeries([F(0), MultiPoly.constant(1)]))
 
 
 # -- exp and calculus ------------------------------------------------------
@@ -190,9 +232,9 @@ def test_exp_functional_equation():
 
 def test_diff_integrate():
     s = series_of(0, 0, 1)  # t^2
-    assert ps_calculus("diff", s).coeffs == (F(0), F(2))
-    assert ps_calculus("integrate", s).coeffs == (F(0), F(0), F(0), F(1, 3))
-    assert ps_calculus("diff", PowerSeries.constant(5, 0)).coeffs == (F(0),)
+    assert s.diff().coeffs == (F(0), F(2))
+    assert s.integrate().coeffs == (F(0), F(0), F(0), F(1, 3))
+    assert PowerSeries.constant(5, 0).diff().coeffs == (F(0),)
 
 
 @given(rational_series(min_order=1))
