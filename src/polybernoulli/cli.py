@@ -28,7 +28,6 @@ from math import factorial
 from . import __version__
 from .exact import MultiPoly, format_poly, format_rational, parse_rational, poly_eval
 from .generalized import (
-    DEFAULT_ORDER_MARGIN,
     DEFAULT_SEED,
     gen_pb_numbers,
     gen_pb_numbers_series,
@@ -130,7 +129,6 @@ def cmd_verify(args) -> int:
             k_min=args.k_min,
             k_max=args.k_max,
             seed=args.seed,
-            margin=args.order_margin,
         )
     except ValueError as exc:
         args.parser.error(str(exc))
@@ -156,16 +154,13 @@ def _eval_generalized(args, n: int):
     parser = args.parser
     if args.ln_a is None or args.ln_b is None:
         parser.error("--generalized evaluation needs --ln-a and --ln-b")
-    if args.order_margin < 0:
-        parser.error("the order margin must be non-negative")
-    order = n + args.order_margin
     try:
         if args.poly is not None:
             if args.ln_c is None or args.x is None:
                 parser.error("--generalized polynomial evaluation needs --ln-c and -x")
-            series = gen_pb_poly_series(args.k, args.ln_a, args.ln_b, args.ln_c, args.x, order)
+            series = gen_pb_poly_series(args.k, args.ln_a, args.ln_b, args.ln_c, args.x, n)
         else:
-            series = gen_pb_numbers_series(args.k, args.ln_a, args.ln_b, order)
+            series = gen_pb_numbers_series(args.k, args.ln_a, args.ln_b, n)
     except ValueError as exc:
         parser.error(str(exc))
     return series, series.coefficient(n) * factorial(n)
@@ -255,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k-min", "--kmin", type=int, default=None)
     sub.add_argument("--k-max", "--kmax", type=int, default=None)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--order-margin", type=int, default=DEFAULT_ORDER_MARGIN)
     _add_format(sub)
     sub.set_defaults(func=cmd_verify, parser=sub)
 
@@ -271,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ln-b", type=parse_rational, default=None, metavar="Q")
     sub.add_argument("--ln-c", type=parse_rational, default=None, metavar="Q")
     sub.add_argument("-x", "--x", dest="x", type=parse_rational, default=None, metavar="Q")
-    sub.add_argument("--order-margin", type=int, default=DEFAULT_ORDER_MARGIN)
     sub.add_argument(
         "--show-series", action="store_true", help="also print the backing series"
     )

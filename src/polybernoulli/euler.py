@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact import LA, LB, LC, MultiPoly, X, as_poly, format_poly
-from .reports import IdentityReport
+from .exact import LA, LB, LC, MultiPoly, X, as_poly
+from .reports import IdentityReport, check
 from .series import ps_div, ps_exp_linear
 
 __all__ = ["euler_poly", "gen_euler_poly", "verify_euler_identities"]
@@ -56,49 +56,25 @@ def verify_euler_identities(n_max: int = 10) -> list[IdentityReport]:
         factor ``(ln b)^k`` on the right.
     """
     n_range = f"0..{n_max}"
-    reports = []
+    degrees = range(n_max + 1)
 
-    witness = ""
-    for k in range(n_max + 1):
-        lhs = _shift_x(euler_poly(k), 1)
+    def binomial_sum(k):
         rhs = MultiPoly.constant(0)
         for j in range(k + 1):
             rhs = rhs + comb(k, j) * euler_poly(j)
-        if lhs != rhs:
-            witness = f"k={k}: diff {format_poly(lhs - rhs)}"
-            break
-    reports.append(
-        IdentityReport("E1", "shift by one equals the binomial sum", n_range, "-", not witness, witness)
-    )
+        return rhs
 
-    witness = ""
-    for k in range(n_max + 1):
-        lhs = _shift_x(euler_poly(k), 1) + euler_poly(k)
-        rhs = 2 * X**k
-        if lhs != rhs:
-            witness = f"k={k}: diff {format_poly(lhs - rhs)}"
-            break
-    reports.append(
-        IdentityReport("E2", "shifted and plain values pair to 2*X^k", n_range, "-", not witness, witness)
-    )
+    def pairing(p):
+        return _shift_x(p, 1) + p
 
-    witness = ""
-    for k in range(n_max + 1):
-        special = gen_euler_poly(k).substitute({"La": 0, "Lc": LB})
-        lhs = _shift_x(special, 1) + special
-        rhs = 2 * X**k * LB**k
-        if lhs != rhs:
-            witness = f"k={k}: diff {format_poly(lhs - rhs)}"
-            break
-    reports.append(
-        IdentityReport(
-            "E3",
-            "the (1, b, b) specialization pairs to 2*X^k*Lb^k",
-            n_range,
-            "-",
-            not witness,
-            witness,
-        )
-    )
+    def special(k):
+        return gen_euler_poly(k).substitute({"La": 0, "Lc": LB})
 
-    return reports
+    return [
+        check("E1", "shift by one equals the binomial sum", n_range, "-",
+              ((f"k={k}", _shift_x(euler_poly(k), 1), binomial_sum(k)) for k in degrees)),
+        check("E2", "shifted and plain values pair to 2*X^k", n_range, "-",
+              ((f"k={k}", pairing(euler_poly(k)), 2 * X**k) for k in degrees)),
+        check("E3", "the (1, b, b) specialization pairs to 2*X^k*Lb^k", n_range, "-",
+              ((f"k={k}", pairing(special(k)), 2 * X**k * LB**k) for k in degrees)),
+    ]

@@ -30,9 +30,6 @@ __all__ = [
     "LB",
     "LC",
     "as_poly",
-    "rat_arith",
-    "poly_arith",
-    "poly_substitute",
     "poly_eval",
     "homogeneous_substitute",
     "format_rational",
@@ -51,26 +48,6 @@ _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _ZERO_EXPS = (0, 0, 0, 0)
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def rat_arith(op: str, p: Scalar, q: Scalar) -> Fraction:
-    """Dispatch one exact rational operation.
-
-    ``op`` is one of ``add``, ``sub``, ``mul``, ``div``; dividing by zero
-    raises :class:`ZeroDivisionError` before any work is done.
-    """
-    p, q = Fraction(p), Fraction(q)
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "div":
-        if q == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return p / q
-    raise ValueError(f"unknown rational operation: {op!r}")
 
 
 class MultiPoly:
@@ -313,22 +290,6 @@ def as_poly(value: PolyLike) -> MultiPoly:
     if p is None:
         raise TypeError(f"cannot interpret {value!r} as a polynomial")
     return p
-
-
-def poly_arith(op: str, p: PolyLike, q: PolyLike) -> MultiPoly:
-    """Dispatch one polynomial ring operation (``add``, ``sub``, ``mul``)."""
-    p, q = as_poly(p), as_poly(q)
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown polynomial operation: {op!r}")
-
-
-def poly_substitute(p: MultiPoly, bindings: Mapping[str, PolyLike]) -> MultiPoly:
-    return p.substitute(bindings)
 
 
 def poly_eval(p: MultiPoly, point: Mapping[str, Scalar]) -> Fraction:

@@ -18,7 +18,10 @@ which is what the series oracle here computes independently of every closed
 form.
 
 Each ``verify_*`` function checks one family of identities over an explicit
-grid and returns :class:`IdentityReport` rows; all comparisons are exact.
+grid: it streams ``(label, lhs, rhs)`` cases into
+:func:`~polybernoulli.reports.check`, which counts and times them, compares
+each exactly and stops at the first mismatch.  A series oracle is expanded
+once per (k, point) and serves every n, exactly to order n_max.
 """
 
 from __future__ import annotations
@@ -36,13 +39,11 @@ from .exact import (
     MultiPoly,
     X,
     as_poly,
-    format_poly,
     format_rational,
     homogeneous_substitute,
-    poly_eval,
 )
 from .numbers import classical_bernoulli, poly_bernoulli, poly_bernoulli_poly
-from .reports import IdentityReport
+from .reports import IdentityReport, check
 from .series import (
     PowerSeries,
     polylog_series,
@@ -53,7 +54,6 @@ from .series import (
 
 __all__ = [
     "DEFAULT_SEED",
-    "DEFAULT_ORDER_MARGIN",
     "gen_pb_numbers",
     "gen_pb_numbers_by_sum",
     "gen_pb_numbers_series",
@@ -66,6 +66,7 @@ __all__ = [
     "pb_derivative",
     "pb_definite_integral",
     "seeded_rational_points",
+    "gen_numbers_oracle_cases",
     "verify_theorem1",
     "verify_theorem2",
     "verify_theorem3",
@@ -75,7 +76,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
-DEFAULT_ORDER_MARGIN = 2
 DEFAULT_K_SET = tuple(range(-3, 4))
 
 _F1_2 = Fraction(1, 2)
@@ -126,12 +126,10 @@ def gen_pb_numbers_series(k: int, ln_a, ln_b, order: int) -> PowerSeries:
     return ps_div(num, den)
 
 
-def gen_pb_numbers_oracle(
-    n_max: int, k: int, point, margin: int = DEFAULT_ORDER_MARGIN
-) -> list[Fraction]:
+def gen_pb_numbers_oracle(n_max: int, k: int, point) -> list[Fraction]:
     """Normalized series coefficients 0..n_max at one (ln a, ln b) point."""
     la, lb = point
-    s = gen_pb_numbers_series(k, la, lb, n_max + margin)
+    s = gen_pb_numbers_series(k, la, lb, n_max)
     return [s.coefficient(n) * factorial(n) for n in range(n_max + 1)]
 
 
@@ -243,16 +241,6 @@ def _shift_x(p: MultiPoly, delta) -> MultiPoly:
     return p.substitute({"X": X + delta})
 
 
-def _divide_by_lc(p: MultiPoly) -> MultiPoly | None:
-    """Exact quotient p / Lc, or None when some term lacks a factor of Lc."""
-    out = {}
-    for exps, coeff in p.items():
-        if exps[3] < 1:
-            return None
-        out[(exps[0], exps[1], exps[2], exps[3] - 1)] = coeff
-    return MultiPoly(out)
-
-
 def _k_range_text(k_set) -> str:
     ks = sorted(k_set)
     if len(ks) > 1 and ks == list(range(ks[0], ks[-1] + 1)):
@@ -260,8 +248,37 @@ def _k_range_text(k_set) -> str:
     return ",".join(str(k) for k in ks)
 
 
-def _diff_text(lhs: MultiPoly, rhs: MultiPoly) -> str:
-    return format_poly(lhs - rhs)
+def _nk_cases(ks, n_max: int, lhs, rhs):
+    """Cases ``lhs(n, k)`` against ``rhs(n, k)`` for k in ks and n = 0..n_max."""
+    for k in ks:
+        for n in range(n_max + 1):
+            yield f"n={n} k={k}", lhs(n, k), rhs(n, k)
+
+
+def gen_numbers_oracle_cases(n_max: int, ks, seed: int, points: int):
+    """Series oracle against the two-parameter closed form at seeded points.
+
+    One oracle expansion per (k, point) serves every n up to n_max.
+    """
+    rational_points = seeded_rational_points(seed, points, 2)
+    for k in ks:
+        for la, lb in rational_points:
+            values = gen_pb_numbers_oracle(n_max, k, (la, lb))
+            for n in range(n_max + 1):
+                closed = gen_pb_numbers(n, k).eval({"La": la, "Lb": lb})
+                yield f"n={n} k={k} at (ln a, ln b)=({la},{lb})", values[n], closed
+
+
+def _gen_poly_oracle_cases(n_max: int, ks, seed: int, points: int):
+    rational_points = seeded_rational_points(seed, points, 4)
+    for k in ks:
+        for la, lb, lc, x0 in rational_points:
+            s = gen_pb_poly_series(k, la, lb, lc, x0, n_max)
+            point = {"X": x0, "La": la, "Lb": lb, "Lc": lc}
+            label = f"k={k} at (ln a, ln b, ln c, x)=({la},{lb},{lc},{x0})"
+            for n in range(n_max + 1):
+                closed = gen_pb_poly(n, k).eval(point)
+                yield f"n={n} {label}", s.coefficient(n) * factorial(n), closed
 
 
 # -- identity suites -------------------------------------------------------
@@ -272,7 +289,6 @@ def verify_theorem1(
     k_set=DEFAULT_K_SET,
     seed: int = DEFAULT_SEED,
     points: int = 3,
-    margin: int = DEFAULT_ORDER_MARGIN,
 ) -> list[IdentityReport]:
     """All constructions of the two- and three-parameter families agree.
 
@@ -284,155 +300,34 @@ def verify_theorem1(
     ks = sorted(k_set)
     n_range = f"0..{n_max}"
     k_range = _k_range_text(ks)
-    reports = []
+    move_c = {"La": LA + LC, "Lb": LB - LC}
+    to_one_variable = {"La": 1 + X, "Lb": -X}
 
-    witness = ""
-    for k in ks:
-        if witness:
-            break
-        for la, lb in seeded_rational_points(seed, points, 2):
-            values = gen_pb_numbers_oracle(n_max, k, (la, lb), margin)
-            bad = next(
-                (
-                    n
-                    for n in range(n_max + 1)
-                    if values[n] != poly_eval(gen_pb_numbers(n, k), {"La": la, "Lb": lb})
-                ),
-                None,
-            )
-            if bad is not None:
-                witness = (
-                    f"n={bad} k={k} at (ln a, ln b)=({la},{lb}): "
-                    f"series {values[bad]} vs closed form"
-                )
-                break
-    reports.append(
-        IdentityReport(
-            "T1.11",
-            "two-parameter values match the series oracle at seeded rational points",
-            n_range,
-            k_range,
-            not witness,
-            witness,
-        )
-    )
+    def shifted(n, k):
+        return _shift_x(gen_pb_poly(n, k), 1)
 
-    witness = ""
-    for k in ks:
-        if witness:
-            break
-        for n in range(n_max + 1):
-            lhs, rhs = gen_pb_numbers(n, k), gen_pb_numbers_by_sum(n, k)
-            if lhs != rhs:
-                witness = f"n={n} k={k}: diff {_diff_text(lhs, rhs)}"
-                break
-    reports.append(
-        IdentityReport(
-            "T1.12",
-            "substituted-polynomial and alternating-sum constructions agree",
-            n_range,
-            k_range,
-            not witness,
-            witness,
-        )
-    )
+    def c_moved(n, k):
+        return gen_pb_poly(n, k).substitute(move_c)
 
-    witness = ""
-    for k in ks:
-        if witness:
-            break
-        for la, lb, lc, x0 in seeded_rational_points(seed + 1, points, 4):
-            s = gen_pb_poly_series(k, la, lb, lc, x0, n_max + margin)
-            point = {"X": x0, "La": la, "Lb": lb, "Lc": lc}
-            bad = next(
-                (
-                    n
-                    for n in range(n_max + 1)
-                    if s.coefficient(n) * factorial(n) != poly_eval(gen_pb_poly(n, k), point)
-                ),
-                None,
-            )
-            if bad is not None:
-                witness = (
-                    f"n={bad} k={k} at (ln a, ln b, ln c, x)=({la},{lb},{lc},{x0}): "
-                    "series vs closed form"
-                )
-                break
-    reports.append(
-        IdentityReport(
-            "T1.13",
-            "three-parameter polynomials match the series oracle at seeded rational points",
-            n_range,
-            k_range,
-            not witness,
-            witness,
-        )
-    )
+    def one_variable(n, k):
+        return gen_pb_numbers(n, k).substitute(to_one_variable)
 
-    witness = ""
-    for k in ks:
-        if witness:
-            break
-        for n in range(n_max + 1):
-            lhs = _shift_x(gen_pb_poly(n, k), 1)
-            rhs = gen_pb_poly(n, k).substitute({"La": LA + LC, "Lb": LB - LC})
-            if lhs != rhs:
-                witness = f"n={n} k={k}: diff {_diff_text(lhs, rhs)}"
-                break
-    reports.append(
-        IdentityReport(
-            "T1.14",
-            "shifting x by one equals moving a factor of c from b to a",
-            n_range,
-            k_range,
-            not witness,
-            witness,
-        )
-    )
-
-    witness = ""
-    for k in ks:
-        if witness:
-            break
-        for n in range(n_max + 1):
-            lhs = gen_pb_numbers(n, k).substitute({"La": 1 + X, "Lb": -X})
-            rhs = poly_bernoulli_poly(n, k)
-            if lhs != rhs:
-                witness = f"n={n} k={k}: diff {_diff_text(lhs, rhs)}"
-                break
-    reports.append(
-        IdentityReport(
-            "T1.15",
-            "binding the parameters to (1+s, -s) recovers the one-variable polynomials",
-            n_range,
-            k_range,
-            not witness,
-            witness,
-        )
-    )
-
-    witness = ""
-    for k in ks:
-        if witness:
-            break
-        for n in range(n_max + 1):
-            lhs = gen_pb_poly_homogeneous(n, k)
-            rhs = gen_pb_poly(n, k)
-            if lhs != rhs:
-                witness = f"n={n} k={k}: diff {_diff_text(lhs, rhs)}"
-                break
-    reports.append(
-        IdentityReport(
-            "T1.16",
-            "one homogeneous substitution builds the full three-parameter polynomial",
-            n_range,
-            k_range,
-            not witness,
-            witness,
-        )
-    )
-
-    return reports
+    return [
+        check("T1.11", "two-parameter values match the series oracle at seeded rational points",
+              n_range, k_range, gen_numbers_oracle_cases(n_max, ks, seed, points)),
+        check("T1.12", "substituted-polynomial and alternating-sum constructions agree",
+              n_range, k_range, _nk_cases(ks, n_max, gen_pb_numbers, gen_pb_numbers_by_sum)),
+        check("T1.13",
+              "three-parameter polynomials match the series oracle at seeded rational points",
+              n_range, k_range, _gen_poly_oracle_cases(n_max, ks, seed + 1, points)),
+        check("T1.14", "shifting x by one equals moving a factor of c from b to a",
+              n_range, k_range, _nk_cases(ks, n_max, shifted, c_moved)),
+        check("T1.15",
+              "binding the parameters to (1+s, -s) recovers the one-variable polynomials",
+              n_range, k_range, _nk_cases(ks, n_max, one_variable, poly_bernoulli_poly)),
+        check("T1.16", "one homogeneous substitution builds the full three-parameter polynomial",
+              n_range, k_range, _nk_cases(ks, n_max, gen_pb_poly_homogeneous, gen_pb_poly)),
+    ]
 
 
 def _two_variable_forms(n: int, k: int):
@@ -474,84 +369,37 @@ def verify_theorem2(
     n_range = f"0..{n_max}"
     k_range = _k_range_text(ks)
     y_text = ",".join(format_rational(y) for y in y_values)
-    reports = []
 
-    witness = ""
-    for k in ks:
-        if witness:
-            break
-        for n in range(n_max + 1):
-            if witness:
-                break
-            for y0 in y_values:
-                lhs = _shift_x(gen_pb_poly(n, k), y0)
-                rhs = MultiPoly.constant(0)
-                for l in range(n + 1):
-                    rhs = rhs + (
-                        comb(n, l) * LC ** (n - l) * gen_pb_poly(l, k) * Fraction(y0) ** (n - l)
-                    )
-                if lhs != rhs:
-                    witness = f"n={n} k={k} y={y0}: diff {_diff_text(lhs, rhs)}"
-                    break
-    reports.append(
-        IdentityReport(
-            "T2.17",
-            f"expansion around rational shifts y in {{{y_text}}}",
-            n_range,
-            k_range,
-            not witness,
-            witness,
-        )
-    )
+    def at_y(n, l, k, y0):
+        return comb(n, l) * LC ** (n - l) * gen_pb_poly(l, k) * Fraction(y0) ** (n - l)
 
-    witness = ""
-    for k in ks:
-        if witness:
-            break
-        for n in range(n_max + 1):
-            if witness:
-                break
-            for y0 in y_values:
-                lhs = _shift_x(gen_pb_poly(n, k), y0)
-                rhs = MultiPoly.constant(0)
-                for l in range(n + 1):
-                    value_at_y = gen_pb_poly(l, k).substitute({"X": y0})
-                    rhs = rhs + comb(n, l) * LC ** (n - l) * value_at_y * X ** (n - l)
-                if lhs != rhs:
-                    witness = f"n={n} k={k} y={y0} (swapped): diff {_diff_text(lhs, rhs)}"
-                    break
-    reports.append(
-        IdentityReport(
-            "T2.17",
-            "the same expansion with the roles of x and y swapped",
-            n_range,
-            k_range,
-            not witness,
-            witness,
-        )
-    )
+    def at_y_swapped(n, l, k, y0):
+        value_at_y = gen_pb_poly(l, k).substitute({"X": y0})
+        return comb(n, l) * LC ** (n - l) * value_at_y * X ** (n - l)
 
-    witness = ""
-    for k in ks:
-        if witness:
-            break
-        for n in range(n_max + 1):
-            lhs, first, swapped = _two_variable_forms(n, k)
-            if not (lhs == first == swapped):
-                witness = f"n={n} k={k}: symbolic two-variable forms differ"
-                break
-    reports.append(
-        IdentityReport(
-            "T2.17",
-            "fully symbolic two-variable expansion",
-            n_range,
-            k_range,
-            not witness,
-            witness,
-        )
-    )
+    def shift_cases(rhs_term, suffix=""):
+        for k in ks:
+            for n in range(n_max + 1):
+                for y0 in y_values:
+                    lhs = _shift_x(gen_pb_poly(n, k), y0)
+                    rhs = MultiPoly.constant(0)
+                    for l in range(n + 1):
+                        rhs = rhs + rhs_term(n, l, k, y0)
+                    yield f"n={n} k={k} y={y0}{suffix}", lhs, rhs
 
-    return reports
+    def symbolic_cases():
+        for k in ks:
+            for n in range(n_max + 1):
+                lhs, first, swapped = _two_variable_forms(n, k)
+                yield f"n={n} k={k} (symbolic forms)", (lhs, lhs), (first, swapped)
+
+    return [
+        check("T2.17", f"expansion around rational shifts y in {{{y_text}}}", n_range, k_range,
+              shift_cases(at_y)),
+        check("T2.17", "the same expansion with the roles of x and y swapped", n_range, k_range,
+              shift_cases(at_y_swapped, " (swapped)")),
+        check("T2.17", "fully symbolic two-variable expansion", n_range, k_range, symbolic_cases()),
+    ]
 
 
 def verify_theorem3(n_max: int = 10, k_set=DEFAULT_K_SET) -> list[IdentityReport]:
@@ -559,24 +407,13 @@ def verify_theorem3(n_max: int = 10, k_set=DEFAULT_K_SET) -> list[IdentityReport
     ks = sorted(k_set)
     n_range = f"0..{n_max}"
     k_range = _k_range_text(ks)
-    reports = []
-
-    for builder, ident, detail in (
-        (gen_pb_poly_assembled, "T3.18", "per-degree homogeneous assembly agrees"),
-        (gen_pb_poly_double_sum, "T3.19", "explicit double binomial sum agrees"),
-    ):
-        witness = ""
-        for k in ks:
-            if witness:
-                break
-            for n in range(n_max + 1):
-                lhs, rhs = builder(n, k), gen_pb_poly(n, k)
-                if lhs != rhs:
-                    witness = f"n={n} k={k}: diff {_diff_text(lhs, rhs)}"
-                    break
-        reports.append(IdentityReport(ident, detail, n_range, k_range, not witness, witness))
-
-    return reports
+    return [
+        check(ident, detail, n_range, k_range, _nk_cases(ks, n_max, builder, gen_pb_poly))
+        for builder, ident, detail in (
+            (gen_pb_poly_assembled, "T3.18", "per-degree homogeneous assembly agrees"),
+            (gen_pb_poly_double_sum, "T3.19", "explicit double binomial sum agrees"),
+        )
+    ]
 
 
 def verify_theorem4(
@@ -585,83 +422,45 @@ def verify_theorem4(
     bounds=_BOUNDS,
     integral_n_max: int | None = None,
 ) -> list[IdentityReport]:
-    """Derivatives and definite integrals of the three-parameter family."""
+    """Derivatives and definite integrals of the three-parameter family.
+
+    The integral identity is checked multiplied out: ``(n+1) Lc`` times the
+    integral equals the antidifference of the degree-(n+1) polynomial.
+    """
     ks = sorted(k_set)
-    n_range = f"0..{n_max}"
     k_range = _k_range_text(ks)
     if integral_n_max is None:
         integral_n_max = n_max
-    reports = []
-
-    witness = ""
-    for k in ks:
-        if witness:
-            break
-        for n in range(n_max + 1):
-            if witness:
-                break
-            for l in range(n + 2):
-                got = pb_derivative(n, k, l)
-                if l > n:
-                    expected = MultiPoly.constant(0)
-                else:
-                    expected = (
-                        Fraction(factorial(n), factorial(n - l))
-                        * LC**l
-                        * gen_pb_poly(n - l, k)
-                    )
-                if got != expected:
-                    witness = f"n={n} k={k} l={l}: diff {_diff_text(got, expected)}"
-                    break
-    reports.append(
-        IdentityReport(
-            "T4.20",
-            "repeated d/dx lowers the degree with falling-factorial weights",
-            n_range,
-            k_range,
-            not witness,
-            witness,
-        )
-    )
-
-    witness = ""
     bounds_text = ",".join(f"({format_rational(a)},{format_rational(b)})" for a, b in bounds)
-    for k in ks:
-        if witness:
-            break
-        for n in range(integral_n_max + 1):
-            if witness:
-                break
-            for alpha, beta in bounds:
-                integral = pb_definite_integral(n, k, alpha, beta)
-                difference = gen_pb_poly(n + 1, k).substitute({"X": beta}) - gen_pb_poly(
-                    n + 1, k
-                ).substitute({"X": alpha})
-                quotient = _divide_by_lc(difference)
-                if quotient is None:
-                    witness = (
-                        f"n={n} k={k} bounds=({alpha},{beta}): "
-                        "antidifference not divisible by Lc"
-                    )
-                    break
-                rhs = quotient * Fraction(1, n + 1)
-                if integral != rhs:
-                    witness = (
-                        f"n={n} k={k} bounds=({alpha},{beta}): diff {_diff_text(integral, rhs)}"
-                    )
-                    break
-    reports.append(
-        IdentityReport(
-            "T4.21",
-            f"definite integrals over {bounds_text} match the scaled antidifference",
-            f"0..{integral_n_max}",
-            k_range,
-            not witness,
-            witness,
-        )
-    )
 
-    return reports
+    def derivative_cases():
+        for k in ks:
+            for n in range(n_max + 1):
+                for l in range(n + 2):
+                    got = pb_derivative(n, k, l)
+                    if l > n:
+                        expected = MultiPoly.constant(0)
+                    else:
+                        weight = Fraction(factorial(n), factorial(n - l))
+                        expected = weight * LC**l * gen_pb_poly(n - l, k)
+                    yield f"n={n} k={k} l={l}", got, expected
+
+    def integral_cases():
+        for k in ks:
+            for n in range(integral_n_max + 1):
+                scale = (n + 1) * LC
+                anti = gen_pb_poly(n + 1, k)
+                for alpha, beta in bounds:
+                    integral = pb_definite_integral(n, k, alpha, beta)
+                    difference = anti.substitute({"X": beta}) - anti.substitute({"X": alpha})
+                    yield f"n={n} k={k} bounds=({alpha},{beta})", integral * scale, difference
+
+    return [
+        check("T4.20", "repeated d/dx lowers the degree with falling-factorial weights",
+              f"0..{n_max}", k_range, derivative_cases()),
+        check("T4.21", f"definite integrals over {bounds_text} match the scaled antidifference",
+              f"0..{integral_n_max}", k_range, integral_cases()),
+    ]
 
 
 def _b_poly_1bb(n: int, k1: int) -> MultiPoly:
@@ -678,73 +477,48 @@ def verify_theorem5(
     ``B_k(y) + B_k(y + 1)`` against the matching Euler polynomials, all
     specialized to a = 1, c = b and symbolic in x and ln b.
     """
-    n_range = f"0..{n_max}"
-    reports = []
-    for k1 in sorted(k1_set):
-        witness = ""
-        euler_1bb = [
-            gen_euler_poly(m).substitute({"La": 0, "Lc": LB}) for m in range(n_max + 1)
-        ]
+    euler_1bb = [gen_euler_poly(m).substitute({"La": 0, "Lc": LB}) for m in range(n_max + 1)]
+
+    def cases(k1):
         for y0 in y_values:
-            if witness:
-                break
             for n in range(n_max + 1):
                 lhs = _shift_x(_b_poly_1bb(n, k1), y0)
                 rhs = MultiPoly.constant(0)
                 for k in range(n + 1):
-                    paired = _b_poly_1bb(k, k1).substitute({"X": y0}) + _b_poly_1bb(
-                        k, k1
-                    ).substitute({"X": y0 + 1})
+                    b = _b_poly_1bb(k, k1)
+                    paired = b.substitute({"X": y0}) + b.substitute({"X": y0 + 1})
                     rhs = rhs + comb(n, k) * paired * euler_1bb[n - k]
-                rhs = rhs * _F1_2
-                if lhs != rhs:
-                    witness = f"n={n} k1={k1} y={y0}: diff {_diff_text(lhs, rhs)}"
-                    break
-        reports.append(
-            IdentityReport(
-                "T5",
-                "expansion over Euler polynomials at (1, b, b) parameters",
-                n_range,
-                str(k1),
-                not witness,
-                witness,
-            )
-        )
-    return reports
+                yield f"n={n} k1={k1} y={y0}", lhs, rhs * _F1_2
+
+    return [
+        check("T5", "expansion over Euler polynomials at (1, b, b) parameters",
+              f"0..{n_max}", str(k1), cases(k1))
+        for k1 in sorted(k1_set)
+    ]
 
 
-def verify_corollary1(
-    n_max: int = 10, margin: int = DEFAULT_ORDER_MARGIN
-) -> list[IdentityReport]:
+def verify_corollary1(n_max: int = 10) -> list[IdentityReport]:
     """Classical Bernoulli polynomials expand over Euler polynomials.
 
     The left side comes straight from dividing ``t e^{x t}`` by ``e^t - 1``;
     the right side is the k != 1 part of the binomial convolution of the
     classical Bernoulli numbers with Euler polynomials.
     """
-    m = n_max + margin + 1
-    num = PowerSeries.identity(m) * ps_exp_linear(X, m)
-    den = ps_exp_linear(Fraction(1), m) - 1
-    bernoulli_series = ps_div(num, den)
 
-    witness = ""
-    for n in range(n_max + 1):
-        lhs = as_poly(bernoulli_series.coefficient(n) * factorial(n))
-        rhs = MultiPoly.constant(0)
-        for k in range(n + 1):
-            if k == 1:
-                continue
-            rhs = rhs + comb(n, k) * classical_bernoulli(k) * euler_poly(n - k)
-        if lhs != rhs:
-            witness = f"n={n}: diff {_diff_text(lhs, rhs)}"
-            break
+    def cases():
+        m = n_max + 1
+        num = PowerSeries.identity(m) * ps_exp_linear(X, m)
+        den = ps_exp_linear(Fraction(1), m) - 1
+        bernoulli_series = ps_div(num, den)
+        for n in range(n_max + 1):
+            lhs = as_poly(bernoulli_series.coefficient(n) * factorial(n))
+            rhs = MultiPoly.constant(0)
+            for k in range(n + 1):
+                if k != 1:
+                    rhs = rhs + comb(n, k) * classical_bernoulli(k) * euler_poly(n - k)
+            yield f"n={n}", lhs, rhs
+
     return [
-        IdentityReport(
-            "C1",
-            "classical Bernoulli polynomials expand over Euler polynomials",
-            f"0..{n_max}",
-            "-",
-            not witness,
-            witness,
-        )
+        check("C1", "classical Bernoulli polynomials expand over Euler polynomials",
+              f"0..{n_max}", "-", cases())
     ]

@@ -1,10 +1,14 @@
-"""Verification reports shared by the identity-checking suites and the CLI."""
+"""Verification reports, and the one runner that every identity suite uses."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
+from typing import Iterable
 
-__all__ = ["IdentityReport", "IDENTITY_IDS", "all_passed"]
+from .exact import MultiPoly, format_poly
+
+__all__ = ["IdentityReport", "IDENTITY_IDS", "all_passed", "check"]
 
 IDENTITY_IDS = (
     "T1.11",
@@ -39,8 +43,11 @@ def _clip(text: str) -> str:
 class IdentityReport:
     """Outcome of checking one identity over a parameter grid.
 
-    ``witness`` carries the first failing parameters and the discrepancy; it
-    is empty exactly when the check passed.
+    ``witness`` carries the first failing case and the discrepancy; it is
+    empty exactly when the check passed.  ``cases`` counts the comparisons
+    made (at least one: an identity that compared nothing has not passed),
+    and ``elapsed_ms`` is their wall time, left out of equality so equal
+    runs give equal reports.
     """
 
     identity_id: str
@@ -49,10 +56,14 @@ class IdentityReport:
     k_range: str
     passed: bool
     witness: str = ""
+    cases: int = field(kw_only=True)
+    elapsed_ms: float = field(default=0.0, compare=False, kw_only=True)
 
     def __post_init__(self):
         if self.identity_id not in IDENTITY_IDS:
             raise ValueError(f"unknown identity id: {self.identity_id!r}")
+        if self.cases < 1:
+            raise ValueError(f"{self.identity_id} ({self.detail}) checked no cases")
         if self.passed and self.witness:
             raise ValueError("a passing report cannot carry a witness")
         if not self.passed and not self.witness:
@@ -70,6 +81,8 @@ class IdentityReport:
             "n": self.n_range,
             "k": self.k_range,
             "status": "pass" if self.passed else "fail",
+            "cases": self.cases,
+            "elapsed_ms": round(self.elapsed_ms, 3),
         }
         if self.witness:
             obj["witness"] = self.witness
@@ -81,6 +94,30 @@ class IdentityReport:
         if self.witness:
             line += f"\n        witness: {self.witness}"
         return line
+
+
+def check(
+    identity_id: str, detail: str, n_range: str, k_range: str, cases: Iterable[tuple]
+) -> IdentityReport:
+    """Compare each ``(label, lhs, rhs)`` case exactly, stopping at the first mismatch.
+
+    ``cases`` is consumed lazily, so nothing past a failing case is computed.
+    A polynomial mismatch is witnessed by the difference, any other by both sides.
+    """
+    count = 0
+    witness = None
+    start = time.perf_counter()
+    for label, lhs, rhs in cases:
+        count += 1
+        if lhs != rhs:
+            if isinstance(lhs, MultiPoly) or isinstance(rhs, MultiPoly):
+                witness = f"{label}: diff {format_poly(lhs - rhs)}"
+            else:
+                witness = f"{label}: {lhs} vs {rhs}"
+            break
+    elapsed_ms = (time.perf_counter() - start) * 1000
+    return IdentityReport(identity_id, detail, n_range, k_range, witness is None, witness or "",
+                          cases=count, elapsed_ms=elapsed_ms)
 
 
 def all_passed(reports) -> bool:

@@ -5,9 +5,11 @@ asserts, so the suite doubles as a human-readable report and a hard gate.
 All comparisons are exact; nothing here is approximate.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
+from pathlib import Path
 
 import polybernoulli.cli as cli
 from polybernoulli.euler import euler_poly, gen_euler_poly, verify_euler_identities
@@ -34,6 +36,9 @@ from polybernoulli.verification import (
 )
 
 F = Fraction
+
+# The benchmark's pinned `verify --suite all` transcript; read, never copied.
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
 def _criterion(index: int, description: str, ok: bool) -> None:
@@ -167,8 +172,11 @@ def test_criterion_12_cli_contract(capsys):
         if code != 0 or out != expected:
             ok = False
     code = cli.main(["verify", "--suite", "all"])
-    capsys.readouterr()
-    ok = ok and code == 0
+    transcript = capsys.readouterr().out
+    golden = json.loads(REFERENCES.read_text())["verify_transcript"]
+    ok = ok and code == 0 and transcript == golden
     with capsys.disabled():
         print()
-        _criterion(12, "command-line contract: golden outputs and a clean full verify", ok)
+        _criterion(
+            12, "command-line contract: golden outputs and the pinned full verify transcript", ok
+        )

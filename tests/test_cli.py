@@ -122,6 +122,7 @@ def test_eval_show_series_prefixes_value(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("series: 1 + 1/2*t + 1/12*t^2")
+    assert lines[0].endswith("*t^2 + O(t^3)")  # expanded to order n exactly
     assert lines[1] == "1/6"
 
 
@@ -143,10 +144,13 @@ def test_verify_json_shape(capsys):
     obj = json.loads(out)
     assert obj["all_passed"] is True
     assert [r["id"] for r in obj["reports"]] == ["T3.18", "T3.19"]
+    # 6 degrees times 3 upper indices, each compared once
+    assert [r["cases"] for r in obj["reports"]] == [18, 18]
+    assert all(r["elapsed_ms"] >= 0 for r in obj["reports"])
 
 
 def test_verify_failure_sets_exit_one(capsys, monkeypatch):
-    failing = IdentityReport("C1", "planted failure", "0..1", "-", False, "n=0: planted")
+    failing = IdentityReport("C1", "planted failure", "0..1", "-", False, "n=0: planted", cases=1)
     monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: [failing])
     code, out = run(capsys, "verify", "--suite", "C1")
     assert code == 1
@@ -172,6 +176,7 @@ def test_verify_deterministic_across_runs(capsys):
         ("eval", "--number", "1", "-k", "1", "--generalized", "--ln-a", "x", "--ln-b", "1"),
         ("table", "--n-max", "3", "--k-min", "2", "--k-max", "-2"),
         ("verify", "--suite", "nonsense"),
+        ("eval", "--number", "3", "-k", "1", "--order-margin=-5"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -180,15 +185,16 @@ def test_usage_errors_exit_two(capsys, argv):
     assert exc.value.code == 2
 
 
-MARGIN_MESSAGE = "the order margin must be non-negative"
+UNKNOWN_FLAG = "unrecognized arguments"
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("eval --number 5 -k 2 --generalized --ln-a=1 --ln-b=1 --order-margin=-1", MARGIN_MESSAGE),
-        ("verify --suite oracle --order-margin=-1", MARGIN_MESSAGE),
+        ("eval --number 5 -k 2 --generalized --ln-a=1 --ln-b=1 --order-margin=-1", UNKNOWN_FLAG),
+        ("verify --suite oracle --order-margin=-1", UNKNOWN_FLAG),
         ("verify --suite T3 --n-max -1", "n_max must be non-negative"),
+        ("verify --suite T5 --k-max 0", "T5 needs some k >= 1"),
     ],
 )
 def test_bad_input_exits_two_with_one_line_message(capsys, argv, message):

@@ -16,10 +16,7 @@ from polybernoulli.exact import (
     homogeneous_substitute,
     parse_poly,
     parse_rational,
-    poly_arith,
     poly_eval,
-    poly_substitute,
-    rat_arith,
 )
 
 F = Fraction
@@ -48,26 +45,21 @@ points = st.fixed_dictionaries(
 
 
 def test_rat_arith_basic():
-    assert rat_arith("add", F(1, 2), F(1, 3)) == F(5, 6)
-    assert rat_arith("sub", 1, F(1, 4)) == F(3, 4)
-    assert rat_arith("mul", F(2, 3), F(3, 2)) == 1
-    assert rat_arith("div", F(1, 2), F(1, 4)) == 2
+    assert F(1, 2) + F(1, 3) == F(5, 6)
+    assert 1 - F(1, 4) == F(3, 4)
+    assert F(2, 3) * F(3, 2) == 1
+    assert F(1, 2) / F(1, 4) == 2
 
 
 def test_rat_arith_div_by_zero():
     with pytest.raises(ZeroDivisionError):
-        rat_arith("div", F(1), F(0))
-
-
-def test_rat_arith_unknown_op():
-    with pytest.raises(ValueError):
-        rat_arith("pow", F(1), F(2))
+        F(1) / F(0)
 
 
 def test_rational_canonical_form():
-    q = rat_arith("div", F(2), F(-4))
+    q = F(2) / F(-4)
     assert q.numerator == -1 and q.denominator == 2
-    z = rat_arith("sub", F(3, 7), F(3, 7))
+    z = F(3, 7) - F(3, 7)
     assert z.numerator == 0 and z.denominator == 1
 
 
@@ -86,10 +78,8 @@ def test_parse_rational_rejects_junk():
 @given(rationals, rationals, rationals)
 @settings(max_examples=40)
 def test_rat_arith_field_laws(a, b, c):
-    assert rat_arith("add", a, b) == rat_arith("add", b, a)
-    assert rat_arith("mul", a, rat_arith("add", b, c)) == rat_arith(
-        "add", rat_arith("mul", a, b), rat_arith("mul", a, c)
-    )
+    assert a + b == b + a
+    assert a * (b + c) == a * b + a * c
 
 
 # -- polynomial ring -------------------------------------------------------
@@ -106,9 +96,9 @@ def test_poly_zero_and_constants():
 def test_poly_arith_example():
     p = X * LA + 1
     q = X * LA - 1
-    assert poly_arith("mul", p, q) == X * X * LA * LA - 1
-    assert poly_arith("add", p, q) == 2 * X * LA
-    assert poly_arith("sub", p, q) == 2
+    assert p * q == X * X * LA * LA - 1
+    assert p + q == 2 * X * LA
+    assert p - q == 2
 
 
 def test_poly_pow():
@@ -208,7 +198,7 @@ def test_eval_is_ring_homomorphism(p, q, pt):
 @settings(max_examples=30)
 def test_substitute_then_eval_matches(p, q, pt):
     # replacing X by q then evaluating equals evaluating with X bound to q(pt)
-    composed = poly_substitute(p, {"X": q})
+    composed = p.substitute({"X": q})
     inner_pt = dict(pt) | {"X": poly_eval(q, pt)}
     assert poly_eval(composed, pt) == poly_eval(p, inner_pt)
 

@@ -197,3 +197,16 @@ def test_corollary1_suite_passes():
     (report,) = verify_corollary1(n_max=8)
     assert report.identity_id == "C1"
     assert report.passed, report.format_line()
+
+
+def test_zero_case_grids_raise_instead_of_passing():
+    with pytest.raises(ValueError, match="checked no cases"):
+        verify_theorem1(n_max=2, k_set=(1,), points=0)
+    with pytest.raises(ValueError, match="checked no cases"):
+        verify_theorem4(n_max=2, k_set=(1,), bounds=())
+
+
+def test_reports_count_their_cases():
+    reports = verify_theorem4(n_max=3, k_set=(-1, 2), integral_n_max=2)
+    # T4.20: l runs over 0..n+1 for n = 0..3; T4.21: three bounds for n = 0..2
+    assert [r.cases for r in reports] == [2 * (2 + 3 + 4 + 5), 2 * 3 * 3]

@@ -1,0 +1,60 @@
+"""The one identity runner: case counting, first-mismatch witnesses, no vacuous passes."""
+
+from fractions import Fraction
+
+import pytest
+
+from polybernoulli.exact import LA, X
+from polybernoulli.reports import IdentityReport, check
+
+
+def test_check_counts_every_case_of_a_pass():
+    report = check("C1", "squares", "0..4", "-", ((f"n={n}", n * n, n**2) for n in range(5)))
+    assert report.passed and report.witness == ""
+    assert report.cases == 5
+    assert report.elapsed_ms >= 0
+
+
+def test_check_stops_at_the_first_mismatch():
+    consumed = []
+
+    def cases():
+        for n in range(10):
+            consumed.append(n)
+            yield f"n={n}", n, -1 if n == 3 else n
+
+    report = check("C1", "planted", "0..9", "-", cases())
+    assert not report.passed
+    assert report.cases == 4
+    assert consumed == [0, 1, 2, 3]
+    assert report.witness == "n=3: 3 vs -1"
+
+
+def test_check_witness_forms():
+    poly = check("E2", "planted", "0..0", "-", [("k=0", X + 1, X)])
+    assert poly.witness == "k=0: diff 1"
+    scalar = check("T1.11", "planted", "0..0", "1", [("n=0 k=1", Fraction(1, 2), Fraction(1, 3))])
+    assert scalar.witness == "n=0 k=1: 1/2 vs 1/3"
+    mixed = check("T1.12", "planted", "0..0", "1", [("n=0", 2 * LA, 0)])
+    assert mixed.witness == "n=0: diff 2*La"
+
+
+def test_zero_cases_is_not_a_pass():
+    with pytest.raises(ValueError, match="checked no cases"):
+        check("T5", "empty grid", "0..3", "1", iter(()))
+    with pytest.raises(ValueError, match="checked no cases"):
+        IdentityReport("C1", "built by hand", "0..1", "-", True, cases=0)
+
+
+def test_report_equality_ignores_elapsed_time():
+    first = IdentityReport("C1", "d", "0..1", "-", True, cases=2, elapsed_ms=1.0)
+    second = IdentityReport("C1", "d", "0..1", "-", True, cases=2, elapsed_ms=9.0)
+    assert first == second
+    assert first != IdentityReport("C1", "d", "0..1", "-", True, cases=3)
+
+
+def test_json_carries_cases_and_time():
+    report = IdentityReport("C1", "d", "0..1", "-", True, cases=2, elapsed_ms=1.23456)
+    obj = report.as_json_obj()
+    assert obj["cases"] == 2
+    assert obj["elapsed_ms"] == 1.235

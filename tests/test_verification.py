@@ -60,3 +60,11 @@ def test_run_suite_rejects_bad_input():
     with pytest.raises(ValueError, match="empty"):
         run_suite("T1", k_min=2, k_max=-2)
     assert "all" in SUITE_NAMES
+
+
+def test_run_suite_t5_needs_a_positive_k():
+    with pytest.raises(ValueError, match="T5 needs some k >= 1"):
+        run_suite("T5", n_max=2, k_min=-2, k_max=0)
+    with pytest.raises(ValueError, match="T5 needs some k >= 1"):
+        run_suite("all", n_max=2, k_min=-2, k_max=0)
+    assert all_passed(run_suite("T3", n_max=2, k_min=-2, k_max=0))
