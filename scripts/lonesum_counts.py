@@ -10,16 +10,9 @@ script enumerates all 2^(n*k) matrices per cell, so keep the ranges small.
 
 import argparse
 import sys
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from polybernoulli.numbers import poly_bernoulli_negative
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    n_max: int
-    k_max: int
 
 
 def is_lonesum(rows: tuple[int, ...], cols: int) -> bool:
@@ -41,12 +34,11 @@ def main(argv=None) -> int:
     parser.add_argument("--n-max", type=int, default=3, help="largest row count")
     parser.add_argument("--k-max", type=int, default=3, help="largest column count")
     args = parser.parse_args(argv)
-    cfg = GridConfig(args.n_max, args.k_max)
 
     mismatches = 0
     print(f"{'n':>3} {'k':>3} {'brute force':>12} {'closed form':>12}")
-    for n in range(cfg.n_max + 1):
-        for k in range(cfg.k_max + 1):
+    for n in range(args.n_max + 1):
+        for k in range(args.k_max + 1):
             brute = brute_force_count(n, k)
             closed = poly_bernoulli_negative(n, k)
             marker = "" if brute == closed else "   MISMATCH"

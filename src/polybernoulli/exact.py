@@ -86,10 +86,6 @@ class MultiPoly:
         exps = tuple(1 if i == idx else 0 for i in range(4))
         return cls._from_clean({exps: _F1})
 
-    @classmethod
-    def monomial(cls, exps: tuple, coeff: Scalar = 1) -> "MultiPoly":
-        return cls({tuple(exps): coeff})
-
     # -- structure ---------------------------------------------------------
 
     def items(self) -> Iterator[tuple[tuple, Fraction]]:
@@ -296,31 +292,23 @@ def poly_eval(p: MultiPoly, point: Mapping[str, Scalar]) -> Fraction:
     return p.eval(point)
 
 
-def homogeneous_substitute(
-    p: MultiPoly,
-    name: str,
-    numerator: PolyLike,
-    complement: PolyLike,
-    degree: int,
-) -> MultiPoly:
-    """Substitute ``name`` by a formal quotient with denominators cleared.
+def homogeneous_substitute(p: MultiPoly, numerator: PolyLike, complement: PolyLike) -> MultiPoly:
+    """Substitute ``X`` by a formal quotient with denominators cleared.
 
-    Reading ``p`` as a polynomial of degree at most ``degree`` in ``name``,
-    replace ``name`` by ``numerator / complement`` and multiply through by
-    ``complement ** degree``: each piece ``q_d * name^d`` becomes
-    ``q_d * numerator^d * complement^(degree - d)``.  No rational-function
-    arithmetic is involved at any point.
+    With ``n`` the degree of ``p`` in ``X``, replace ``X`` by
+    ``numerator / complement`` and multiply through by ``complement ** n``:
+    each piece ``q_d * X^d`` becomes ``q_d * numerator^d * complement^(n - d)``.
+    No rational-function arithmetic is involved at any point.
     """
-    parts = p.split_by(name)
-    if parts and degree < max(parts):
-        raise ValueError(
-            f"homogeneous substitution degree {degree} below actual degree {max(parts)}"
-        )
-    num = as_poly(numerator)
-    comp = as_poly(complement)
+    parts = p.split_by("X")
+    degree = max(parts, default=0)
+    num_pows, comp_pows = [MultiPoly.constant(1)], [MultiPoly.constant(1)]
+    for _ in range(degree):
+        num_pows.append(num_pows[-1] * numerator)
+        comp_pows.append(comp_pows[-1] * complement)
     acc = MultiPoly.constant(0)
     for d, q in parts.items():
-        acc = acc + q * num**d * comp ** (degree - d)
+        acc = acc + q * num_pows[d] * comp_pows[degree - d]
     return acc
 
 

@@ -8,9 +8,11 @@ so no rational-function arithmetic ever appears; at (La, Lb) = (1, 0) it
 collapses back to the plain numbers.
 
 The three-parameter polynomial ``gen_pb_poly(n, k)`` adds the argument x and
-a third parameter c: it is the binomial convolution of the two-parameter
-values with powers of ``X * Lc``.  Its specialization at rational points is
-the normalized ``t^n`` coefficient of
+a third parameter c: it is one homogeneous substitution
+``X -> (X Lc - Lb) / (La + Lb)`` into the same one-variable polynomial.  The
+binomial convolution of the two-parameter values with powers of ``X * Lc``,
+``gen_pb_poly_assembled``, rebuilds it as a cross-check.  At rational points
+the polynomial is the normalized ``t^n`` coefficient of
 
     Li_k(1 - (a b)^{-t}) / (b^t - a^{-t}) * c^{x t},
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .euler import euler_poly, gen_euler_poly
+from .euler import _shift_x, euler_poly, gen_euler_poly
 from .exact import (
     LA,
     LB,
@@ -59,7 +61,6 @@ __all__ = [
     "gen_pb_numbers_series",
     "gen_pb_numbers_oracle",
     "gen_pb_poly",
-    "gen_pb_poly_homogeneous",
     "gen_pb_poly_assembled",
     "gen_pb_poly_double_sum",
     "gen_pb_poly_series",
@@ -93,9 +94,7 @@ _BOUNDS = (
 @lru_cache(maxsize=None)
 def gen_pb_numbers(n: int, k: int) -> MultiPoly:
     """Two-parameter poly-Bernoulli value as a polynomial in La and Lb."""
-    if n < 0:
-        raise ValueError("the lower index must be non-negative")
-    return homogeneous_substitute(poly_bernoulli_poly(n, k), "X", -LB, LA + LB, n)
+    return homogeneous_substitute(poly_bernoulli_poly(n, k), -LB, LA + LB)
 
 
 def gen_pb_numbers_by_sum(n: int, k: int) -> MultiPoly:
@@ -135,34 +134,25 @@ def gen_pb_numbers_oracle(n_max: int, k: int, point) -> list[Fraction]:
 
 @lru_cache(maxsize=None)
 def gen_pb_poly(n: int, k: int) -> MultiPoly:
-    """Three-parameter poly-Bernoulli polynomial in X, La, Lb, Lc."""
-    if n < 0:
-        raise ValueError("the lower index must be non-negative")
-    acc = MultiPoly.constant(0)
-    for l in range(n + 1):
-        acc = acc + comb(n, l) * LC ** (n - l) * gen_pb_numbers(l, k) * X ** (n - l)
-    return acc
+    """Three-parameter poly-Bernoulli polynomial in X, La, Lb, Lc.
 
-
-def gen_pb_poly_homogeneous(n: int, k: int) -> MultiPoly:
-    """Same polynomial by one homogeneous substitution into the X-polynomial.
-
-    Reads the one-variable polynomial at ``X -> (-Lb + X*Lc) / (La + Lb)``
+    Reads the one-variable polynomial at ``X -> (X*Lc - Lb) / (La + Lb)``
     and clears the denominator at total weight n.
     """
-    return homogeneous_substitute(poly_bernoulli_poly(n, k), "X", X * LC - LB, LA + LB, n)
+    return homogeneous_substitute(poly_bernoulli_poly(n, k), X * LC - LB, LA + LB)
 
 
 def gen_pb_poly_assembled(n: int, k: int) -> MultiPoly:
-    """Same polynomial assembled degree by degree from fresh substitutions.
+    """Same polynomial as the binomial convolution of the two-parameter values.
 
-    Each degree's two-parameter bracket is rebuilt directly here rather than
-    taken from the memoized production path, so agreement is informative.
+    Sums ``C(n, l) (X Lc)^(n-l) gen_pb_numbers(l, k)`` over the memoized
+    two-parameter values.  Their substitutions ``X -> -Lb / (La + Lb)`` keep
+    X out of the numerator, so this route never reads the one substitution
+    that builds :func:`gen_pb_poly`; the two share only the plain numbers.
     """
     acc = MultiPoly.constant(0)
     for l in range(n + 1):
-        bracket = homogeneous_substitute(poly_bernoulli_poly(l, k), "X", -LB, LA + LB, l)
-        acc = acc + comb(n, l) * LC ** (n - l) * bracket * X ** (n - l)
+        acc = acc + comb(n, l) * (X * LC) ** (n - l) * gen_pb_numbers(l, k)
     return acc
 
 
@@ -237,10 +227,6 @@ def seeded_rational_points(
     return points
 
 
-def _shift_x(p: MultiPoly, delta) -> MultiPoly:
-    return p.substitute({"X": X + delta})
-
-
 def _k_range_text(k_set) -> str:
     ks = sorted(k_set)
     if len(ks) > 1 and ks == list(range(ks[0], ks[-1] + 1)):
@@ -295,7 +281,8 @@ def verify_theorem1(
     Two checks anchor the closed forms to the series oracle at seeded
     rational points; the other four are exact polynomial identities
     (alternating-sum form, parameter shift, specialization back to the
-    one-variable family, and the single homogeneous substitution).
+    one-variable family, and the single homogeneous substitution against the
+    per-degree convolution).
     """
     ks = sorted(k_set)
     n_range = f"0..{n_max}"
@@ -326,7 +313,7 @@ def verify_theorem1(
               "binding the parameters to (1+s, -s) recovers the one-variable polynomials",
               n_range, k_range, _nk_cases(ks, n_max, one_variable, poly_bernoulli_poly)),
         check("T1.16", "one homogeneous substitution builds the full three-parameter polynomial",
-              n_range, k_range, _nk_cases(ks, n_max, gen_pb_poly_homogeneous, gen_pb_poly)),
+              n_range, k_range, _nk_cases(ks, n_max, gen_pb_poly, gen_pb_poly_assembled)),
     ]
 
 
@@ -475,8 +462,12 @@ def verify_theorem5(
 
     ``B_n(x + y)`` must equal half the binomial convolution of
     ``B_k(y) + B_k(y + 1)`` against the matching Euler polynomials, all
-    specialized to a = 1, c = b and symbolic in x and ln b.
+    specialized to a = 1, c = b and symbolic in x and ln b.  One report per
+    k1; an empty ``k1_set`` raises, since it would check nothing.
     """
+    k1s = sorted(k1_set)
+    if not k1s:
+        raise ValueError("T5 needs at least one k1")
     euler_1bb = [gen_euler_poly(m).substitute({"La": 0, "Lc": LB}) for m in range(n_max + 1)]
 
     def cases(k1):
@@ -493,7 +484,7 @@ def verify_theorem5(
     return [
         check("T5", "expansion over Euler polynomials at (1, b, b) parameters",
               f"0..{n_max}", str(k1), cases(k1))
-        for k1 in sorted(k1_set)
+        for k1 in k1s
     ]
 
 

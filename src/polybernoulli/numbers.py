@@ -13,9 +13,10 @@ at n = 1.  Even indices agree, odd indices from 3 on vanish, and nothing in
 this package converts silently between the two: pick the function you mean.
 
 A :class:`PolyBernoulliCache` owns the Stirling triangle and the memoized
-values.  Rows grow lazily up to a configurable cap (default 64) so runaway
-requests fail loudly instead of eating memory; inserts are idempotent, so
-sharing the default cache across threads is safe.
+values.  Rows grow lazily for indices up to a configurable cap (default 64),
+so runaway requests fail loudly, naming the index asked for, instead of
+eating memory; inserts are idempotent, so sharing the default cache across
+threads is safe.
 """
 
 from __future__ import annotations
@@ -53,12 +54,17 @@ class PolyBernoulliCache:
     def n_cap(self) -> int:
         return self._n_cap
 
-    def _ensure_rows(self, n: int) -> None:
-        if n > self._n_cap:
-            raise ValueError(
-                f"n={n} exceeds the cache cap {self._n_cap}; "
-                "construct PolyBernoulliCache(n_cap=...) for larger tables"
-            )
+    def _check_cap(self, **indices: int) -> None:
+        """Raise ValueError naming the first requested index above the cap."""
+        for name, value in indices.items():
+            if value > self._n_cap:
+                raise ValueError(
+                    f"{name}={value} exceeds the cache cap {self._n_cap}; "
+                    "construct PolyBernoulliCache(n_cap=...) for larger tables"
+                )
+
+    def _row(self, n: int) -> list[int]:
+        # Callers check the cap first; the lonesum form reads one row past it.
         while len(self._rows) <= n:
             prev = self._rows[-1]
             r = len(self._rows)
@@ -67,6 +73,7 @@ class PolyBernoulliCache:
                 above = prev[m] if m < len(prev) else 0
                 row[m] = m * above + prev[m - 1]
             self._rows.append(row)
+        return self._rows[n]
 
     def stirling2(self, n: int, m: int) -> int:
         """Stirling number of the second kind (set partitions of n into m blocks)."""
@@ -74,8 +81,8 @@ class PolyBernoulliCache:
             raise ValueError("Stirling indices must be non-negative")
         if m > n:
             return 0
-        self._ensure_rows(n)
-        return self._rows[n][m]
+        self._check_cap(n=n)
+        return self._row(n)[m]
 
     def poly_bernoulli(self, n: int, k: int) -> Fraction:
         """Poly-Bernoulli number, any integer upper index k.
@@ -88,10 +95,11 @@ class PolyBernoulliCache:
         cached = self._pb.get(key)
         if cached is not None:
             return cached
-        self._ensure_rows(n)
+        self._check_cap(n=n)
+        row = self._row(n)
         total = _F0
         for m in range(1, n + 2):
-            s = self.stirling2(n, m - 1)
+            s = row[m - 1]
             if not s:
                 continue
             term = Fraction((-1) ** (m - 1) * factorial(m - 1) * s) / Fraction(m) ** k
@@ -104,12 +112,8 @@ class PolyBernoulliCache:
 DEFAULT_CACHE = PolyBernoulliCache()
 
 
-def _cache(cache: PolyBernoulliCache | None) -> PolyBernoulliCache:
-    return DEFAULT_CACHE if cache is None else cache
-
-
-def stirling2(n: int, m: int, cache: PolyBernoulliCache | None = None) -> int:
-    return _cache(cache).stirling2(n, m)
+def stirling2(n: int, m: int) -> int:
+    return DEFAULT_CACHE.stirling2(n, m)
 
 
 def stirling2_explicit(n: int, m: int) -> int:
@@ -129,13 +133,11 @@ def stirling2_explicit(n: int, m: int) -> int:
     return value.numerator
 
 
-def poly_bernoulli(n: int, k: int, cache: PolyBernoulliCache | None = None) -> Fraction:
-    return _cache(cache).poly_bernoulli(n, k)
+def poly_bernoulli(n: int, k: int) -> Fraction:
+    return DEFAULT_CACHE.poly_bernoulli(n, k)
 
 
-def poly_bernoulli_negative(
-    n: int, k: int, cache: PolyBernoulliCache | None = None
-) -> int:
+def poly_bernoulli_negative(n: int, k: int) -> int:
     """Poly-Bernoulli number with upper index -k, for k >= 0, as an integer.
 
     Uses the symmetric double-Stirling form
@@ -145,16 +147,15 @@ def poly_bernoulli_negative(
     """
     if n < 0 or k < 0:
         raise ValueError("both indices must be non-negative here")
-    c = _cache(cache)
+    DEFAULT_CACHE._check_cap(n=n, k=k)
+    row_n, row_k = DEFAULT_CACHE._row(n + 1), DEFAULT_CACHE._row(k + 1)
     total = 0
     for j in range(min(n, k) + 1):
-        total += factorial(j) ** 2 * c.stirling2(n + 1, j + 1) * c.stirling2(k + 1, j + 1)
+        total += factorial(j) ** 2 * row_n[j + 1] * row_k[j + 1]
     return total
 
 
-def poly_bernoulli_poly(
-    n: int, k: int, cache: PolyBernoulliCache | None = None
-) -> MultiPoly:
+def poly_bernoulli_poly(n: int, k: int) -> MultiPoly:
     """The degree-n poly-Bernoulli polynomial in X.
 
     Binomial convolution of the numbers with powers of X, i.e. the normalized
@@ -163,18 +164,18 @@ def poly_bernoulli_poly(
     """
     if n < 0:
         raise ValueError("the lower index must be non-negative")
-    c = _cache(cache)
+    DEFAULT_CACHE._check_cap(n=n)
     acc = MultiPoly.constant(0)
     for j in range(n + 1):
-        acc = acc + comb(n, j) * c.poly_bernoulli(j, k) * X ** (n - j)
+        acc = acc + comb(n, j) * DEFAULT_CACHE.poly_bernoulli(j, k) * X ** (n - j)
     return acc
 
 
-def classical_bernoulli(n: int, cache: PolyBernoulliCache | None = None) -> Fraction:
+def classical_bernoulli(n: int) -> Fraction:
     """Bernoulli number in the B_1 = -1/2 convention (series ``t / (e^t - 1)``).
 
     Equal to ``(-1)^n poly_bernoulli(n, 1)``: the sign flip moves between the
     two standard conventions, and only n = 1 actually changes.
     """
-    value = poly_bernoulli(n, 1, cache)
+    value = poly_bernoulli(n, 1)
     return value if n % 2 == 0 else -value

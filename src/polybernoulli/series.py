@@ -141,7 +141,7 @@ class PowerSeries:
 
     def __sub__(self, other):
         if isinstance(other, (PowerSeries, int, Fraction, MultiPoly)):
-            return self + (-other if isinstance(other, PowerSeries) else -_coerce_scalar(other))
+            return self + (-other if isinstance(other, PowerSeries) else -_as_coeff(other))
         return NotImplemented
 
     def __rsub__(self, other):
@@ -161,7 +161,7 @@ class PowerSeries:
                 out.append(acc)
             return PowerSeries(out)
         if isinstance(other, (int, Fraction, MultiPoly)):
-            s = _coerce_scalar(other)
+            s = _as_coeff(other)
             return PowerSeries(tuple(c * s for c in self._coeffs))
         return NotImplemented
 
@@ -191,12 +191,6 @@ class PowerSeries:
 def _check_order(order: int) -> None:
     if not isinstance(order, int) or order < 0:
         raise ValueError(f"truncation order must be a non-negative integer, got {order!r}")
-
-
-def _coerce_scalar(value):
-    if isinstance(value, MultiPoly):
-        return value
-    return Fraction(value)
 
 
 def _unit_inverse(c) -> Fraction:
@@ -284,7 +278,7 @@ def ps_exp_linear(c, order: int) -> PowerSeries:
     exponentials like ``c^{x t}`` stay exact.
     """
     _check_order(order)
-    c = _coerce_scalar(c)
+    c = _as_coeff(c)
     coeffs = [_F1]
     for n in range(1, order + 1):
         coeffs.append(coeffs[-1] * c * Fraction(1, n))

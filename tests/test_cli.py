@@ -207,6 +207,14 @@ def test_bad_input_exits_two_with_one_line_message(capsys, argv, message):
     assert "error: " in last and message in last
 
 
+@pytest.mark.parametrize(
+    "argv", ["polynomial -n 70 -k 2", "eval --poly 70 -k 2 -x 1"]
+)
+def test_cap_error_names_the_requested_n(argv):
+    with pytest.raises(ValueError, match="^n=70 exceeds the cache cap 64"):
+        cli.main(argv.split())
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

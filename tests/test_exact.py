@@ -167,14 +167,7 @@ def test_homogeneous_substitute_clears_denominators():
     # p(X) = X^2 + X + 1, X -> u/v at degree 2: u^2 + u v + v^2
     p = X**2 + X + 1
     u, v = LA, LA + LB
-    assert homogeneous_substitute(p, "X", u, v, 2) == u**2 + u * v + v**2
-    # padding with a larger total degree multiplies by extra powers of v
-    assert homogeneous_substitute(p, "X", u, v, 3) == (u**2 + u * v + v**2) * v
-
-
-def test_homogeneous_substitute_degree_too_small():
-    with pytest.raises(ValueError):
-        homogeneous_substitute(X**3, "X", LA, LB, 2)
+    assert homogeneous_substitute(p, u, v) == u**2 + u * v + v**2
 
 
 @given(polys(), polys(), polys())

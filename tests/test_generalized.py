@@ -11,8 +11,8 @@ from polybernoulli.generalized import (
     gen_pb_numbers_oracle,
     gen_pb_numbers_series,
     gen_pb_poly,
+    gen_pb_poly_assembled,
     gen_pb_poly_double_sum,
-    gen_pb_poly_homogeneous,
     gen_pb_poly_series,
     pb_definite_integral,
     pb_derivative,
@@ -116,7 +116,7 @@ def test_parameter_shift_hand_check():
 
 def test_homogeneous_route_degree_two():
     for k in (-2, 0, 2):
-        assert gen_pb_poly_homogeneous(2, k) == gen_pb_poly(2, k)
+        assert gen_pb_poly_assembled(2, k) == gen_pb_poly(2, k)
         assert gen_pb_poly_double_sum(2, k) == gen_pb_poly(2, k)
 
 
@@ -204,6 +204,8 @@ def test_zero_case_grids_raise_instead_of_passing():
         verify_theorem1(n_max=2, k_set=(1,), points=0)
     with pytest.raises(ValueError, match="checked no cases"):
         verify_theorem4(n_max=2, k_set=(1,), bounds=())
+    with pytest.raises(ValueError, match="at least one k1"):
+        verify_theorem5(n_max=2, k1_set=())
 
 
 def test_reports_count_their_cases():

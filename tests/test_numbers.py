@@ -196,6 +196,22 @@ def test_cache_cap_is_enforced():
         small.poly_bernoulli(5, 1)
 
 
+def test_cap_error_names_the_requested_index():
+    # the numbers below n and the Stirling rows past it are never named
+    with pytest.raises(ValueError, match=r"^n=70 exceeds the cache cap 64; .*n_cap"):
+        poly_bernoulli_poly(70, 2)
+    with pytest.raises(ValueError, match=r"^n=70 exceeds the cache cap 64; .*n_cap"):
+        poly_bernoulli_negative(70, 3)
+    with pytest.raises(ValueError, match=r"^k=70 exceeds the cache cap 64; .*n_cap"):
+        poly_bernoulli_negative(3, 70)
+
+
+def test_negative_index_form_works_up_to_the_cap():
+    # the double-Stirling form reads row n + 1, one past the cap
+    for k in (0, 1, 3, 64):
+        assert poly_bernoulli_negative(64, k) == poly_bernoulli(64, -k)
+
+
 def test_cache_can_be_raised():
     big = PolyBernoulliCache(n_cap=80)
     assert big.poly_bernoulli(70, 1) == poly_bernoulli_like_reference(70)

@@ -1,20 +1,20 @@
-"""Smoke test for the long-form identity driver in scripts/."""
+"""Smoke tests for the long-form drivers in scripts/."""
 
 import importlib.util
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "verify_identities.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _load_driver():
-    spec = importlib.util.spec_from_file_location("verify_identities", SCRIPT)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_driver_reports_checks_and_cases(capsys):
-    driver = _load_driver()
+    driver = _load("verify_identities")
     assert driver.main(["--n-max", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[:-1]] == [
@@ -22,3 +22,9 @@ def test_driver_reports_checks_and_cases(capsys):
     ]
     assert "3 checks    36 cases" in lines[4]  # T5: k = 1..3, y in 3 shifts, n = 0..3
     assert lines[-1].startswith("ok: 26 identity checks over 931 cases in ")
+
+
+def test_lonesum_counts_agree_on_a_small_grid(capsys):
+    script = _load("lonesum_counts")
+    assert script.main(["--n-max", "3", "--k-max", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok: every cell agrees"
