@@ -34,7 +34,7 @@ from .generalized import (
     gen_pb_poly,
     gen_pb_poly_series,
 )
-from .numbers import poly_bernoulli, poly_bernoulli_poly
+from .numbers import DEFAULT_CACHE, poly_bernoulli, poly_bernoulli_poly
 from .reports import all_passed
 from .series import format_series
 from .verification import SUITE_NAMES, run_suite
@@ -89,6 +89,7 @@ def cmd_table(args) -> int:
     _require_nonnegative(args.parser, args.n_max)
     if args.k_min > args.k_max:
         args.parser.error("the k range is empty")
+    DEFAULT_CACHE._check_cap(n=args.n_max)
     k_values = range(args.k_min, args.k_max + 1)
     rows = [
         [format_rational(poly_bernoulli(n, k)) for k in k_values]
@@ -170,6 +171,8 @@ def cmd_eval(args) -> int:
     parser = args.parser
     n = args.number if args.number is not None else args.poly
     _require_nonnegative(parser, n)
+    if args.number is not None and (args.x is not None or args.ln_c is not None):
+        parser.error("-x and --ln-c apply only to --poly")
 
     series_text = None
     if args.generalized:

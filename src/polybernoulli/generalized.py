@@ -80,6 +80,7 @@ DEFAULT_SEED = 42
 DEFAULT_K_SET = tuple(range(-3, 4))
 
 _F1_2 = Fraction(1, 2)
+_ORACLE_POINTS = 3
 _Y_VALUES = (Fraction(0), Fraction(1, 2), Fraction(-1, 3))
 _BOUNDS = (
     (Fraction(0), Fraction(1)),
@@ -210,20 +211,15 @@ def pb_definite_integral(n: int, k: int, alpha, beta) -> MultiPoly:
 # -- helpers ---------------------------------------------------------------
 
 
-def seeded_rational_points(
-    seed: int, count: int, coords: int, nonzero_sum: tuple[int, int] | None = (0, 1)
-):
-    """Deterministic small rational points; resamples until the designated
-    coordinate pair has a nonzero sum."""
+def seeded_rational_points(seed: int, count: int, coords: int):
+    """Deterministic small rational points; resamples until the first two
+    coordinates (ln a and ln b) have a nonzero sum."""
     rng = random.Random(seed)
     points = []
     while len(points) < count:
         pt = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(coords))
-        if nonzero_sum is not None:
-            i, j = nonzero_sum
-            if pt[i] + pt[j] == 0:
-                continue
-        points.append(pt)
+        if pt[0] + pt[1] != 0:
+            points.append(pt)
     return points
 
 
@@ -241,12 +237,12 @@ def _nk_cases(ks, n_max: int, lhs, rhs):
             yield f"n={n} k={k}", lhs(n, k), rhs(n, k)
 
 
-def gen_numbers_oracle_cases(n_max: int, ks, seed: int, points: int):
+def gen_numbers_oracle_cases(n_max: int, ks, seed: int):
     """Series oracle against the two-parameter closed form at seeded points.
 
     One oracle expansion per (k, point) serves every n up to n_max.
     """
-    rational_points = seeded_rational_points(seed, points, 2)
+    rational_points = seeded_rational_points(seed, _ORACLE_POINTS, 2)
     for k in ks:
         for la, lb in rational_points:
             values = gen_pb_numbers_oracle(n_max, k, (la, lb))
@@ -255,8 +251,8 @@ def gen_numbers_oracle_cases(n_max: int, ks, seed: int, points: int):
                 yield f"n={n} k={k} at (ln a, ln b)=({la},{lb})", values[n], closed
 
 
-def _gen_poly_oracle_cases(n_max: int, ks, seed: int, points: int):
-    rational_points = seeded_rational_points(seed, points, 4)
+def _gen_poly_oracle_cases(n_max: int, ks, seed: int):
+    rational_points = seeded_rational_points(seed, _ORACLE_POINTS, 4)
     for k in ks:
         for la, lb, lc, x0 in rational_points:
             s = gen_pb_poly_series(k, la, lb, lc, x0, n_max)
@@ -271,10 +267,7 @@ def _gen_poly_oracle_cases(n_max: int, ks, seed: int, points: int):
 
 
 def verify_theorem1(
-    n_max: int = 10,
-    k_set=DEFAULT_K_SET,
-    seed: int = DEFAULT_SEED,
-    points: int = 3,
+    n_max: int = 10, k_set=DEFAULT_K_SET, seed: int = DEFAULT_SEED
 ) -> list[IdentityReport]:
     """All constructions of the two- and three-parameter families agree.
 
@@ -301,12 +294,12 @@ def verify_theorem1(
 
     return [
         check("T1.11", "two-parameter values match the series oracle at seeded rational points",
-              n_range, k_range, gen_numbers_oracle_cases(n_max, ks, seed, points)),
+              n_range, k_range, gen_numbers_oracle_cases(n_max, ks, seed)),
         check("T1.12", "substituted-polynomial and alternating-sum constructions agree",
               n_range, k_range, _nk_cases(ks, n_max, gen_pb_numbers, gen_pb_numbers_by_sum)),
         check("T1.13",
               "three-parameter polynomials match the series oracle at seeded rational points",
-              n_range, k_range, _gen_poly_oracle_cases(n_max, ks, seed + 1, points)),
+              n_range, k_range, _gen_poly_oracle_cases(n_max, ks, seed + 1)),
         check("T1.14", "shifting x by one equals moving a factor of c from b to a",
               n_range, k_range, _nk_cases(ks, n_max, shifted, c_moved)),
         check("T1.15",
@@ -343,9 +336,7 @@ def _two_variable_forms(n: int, k: int):
     return clean(lhs), clean(rhs_first), clean(rhs_swapped)
 
 
-def verify_theorem2(
-    n_max: int = 8, k_set=DEFAULT_K_SET, y_values=_Y_VALUES
-) -> list[IdentityReport]:
+def verify_theorem2(n_max: int = 8, k_set=DEFAULT_K_SET) -> list[IdentityReport]:
     """Addition formula: expanding at x + y matches the binomial convolution.
 
     Checked at rational shifts y, with the roles of x and y swapped, and once
@@ -355,7 +346,7 @@ def verify_theorem2(
     ks = sorted(k_set)
     n_range = f"0..{n_max}"
     k_range = _k_range_text(ks)
-    y_text = ",".join(format_rational(y) for y in y_values)
+    y_text = ",".join(format_rational(y) for y in _Y_VALUES)
 
     def at_y(n, l, k, y0):
         return comb(n, l) * LC ** (n - l) * gen_pb_poly(l, k) * Fraction(y0) ** (n - l)
@@ -367,7 +358,7 @@ def verify_theorem2(
     def shift_cases(rhs_term, suffix=""):
         for k in ks:
             for n in range(n_max + 1):
-                for y0 in y_values:
+                for y0 in _Y_VALUES:
                     lhs = _shift_x(gen_pb_poly(n, k), y0)
                     rhs = MultiPoly.constant(0)
                     for l in range(n + 1):
@@ -404,10 +395,7 @@ def verify_theorem3(n_max: int = 10, k_set=DEFAULT_K_SET) -> list[IdentityReport
 
 
 def verify_theorem4(
-    n_max: int = 10,
-    k_set=DEFAULT_K_SET,
-    bounds=_BOUNDS,
-    integral_n_max: int | None = None,
+    n_max: int = 10, k_set=DEFAULT_K_SET, integral_n_max: int | None = None
 ) -> list[IdentityReport]:
     """Derivatives and definite integrals of the three-parameter family.
 
@@ -418,7 +406,7 @@ def verify_theorem4(
     k_range = _k_range_text(ks)
     if integral_n_max is None:
         integral_n_max = n_max
-    bounds_text = ",".join(f"({format_rational(a)},{format_rational(b)})" for a, b in bounds)
+    bounds_text = ",".join(f"({format_rational(a)},{format_rational(b)})" for a, b in _BOUNDS)
 
     def derivative_cases():
         for k in ks:
@@ -437,7 +425,7 @@ def verify_theorem4(
             for n in range(integral_n_max + 1):
                 scale = (n + 1) * LC
                 anti = gen_pb_poly(n + 1, k)
-                for alpha, beta in bounds:
+                for alpha, beta in _BOUNDS:
                     integral = pb_definite_integral(n, k, alpha, beta)
                     difference = anti.substitute({"X": beta}) - anti.substitute({"X": alpha})
                     yield f"n={n} k={k} bounds=({alpha},{beta})", integral * scale, difference
@@ -455,9 +443,7 @@ def _b_poly_1bb(n: int, k1: int) -> MultiPoly:
     return gen_pb_poly(n, k1).substitute({"La": 0, "Lc": LB})
 
 
-def verify_theorem5(
-    n_max: int = 8, k1_set=(1, 2), y_values=_Y_VALUES
-) -> list[IdentityReport]:
+def verify_theorem5(n_max: int = 8, k1_set=(1, 2)) -> list[IdentityReport]:
     """Mixed expansion over Euler polynomials at (1, b, b) parameters.
 
     ``B_n(x + y)`` must equal half the binomial convolution of
@@ -471,7 +457,7 @@ def verify_theorem5(
     euler_1bb = [gen_euler_poly(m).substitute({"La": 0, "Lc": LB}) for m in range(n_max + 1)]
 
     def cases(k1):
-        for y0 in y_values:
+        for y0 in _Y_VALUES:
             for n in range(n_max + 1):
                 lhs = _shift_x(_b_poly_1bb(n, k1), y0)
                 rhs = MultiPoly.constant(0)

@@ -12,16 +12,18 @@ Sign conventions.  The k = 1 column of ``poly_bernoulli`` expands
 at n = 1.  Even indices agree, odd indices from 3 on vanish, and nothing in
 this package converts silently between the two: pick the function you mean.
 
-A :class:`PolyBernoulliCache` owns the Stirling triangle and the memoized
-values.  Rows grow lazily for indices up to a configurable cap (default 64),
-so runaway requests fail loudly, naming the index asked for, instead of
-eating memory; inserts are idempotent, so sharing the default cache across
-threads is safe.
+Stirling rows and poly-Bernoulli values are memoized by ``lru_cache`` on pure
+functions that return immutable values, so one memo is shared across the
+process and across threads: concurrent misses may compute a row twice, but
+never corrupt it.  A :class:`PolyBernoulliCache` holds only a cap on the
+indices it answers for (default 64), so runaway requests fail loudly, naming
+the index asked for, instead of eating memory.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .exact import MultiPoly, X
@@ -37,43 +39,49 @@ __all__ = [
     "classical_bernoulli",
 ]
 
-_F0 = Fraction(0)
+_ROW_STRIDE = 32
+
+
+@lru_cache(maxsize=None)
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """Row n of the Stirling triangle, ``S(n, 0..n)``, built from row n - 1.
+
+    Row n - _ROW_STRIDE is memoized first, so a cold row recurses about
+    n / _ROW_STRIDE + _ROW_STRIDE calls deep rather than n.
+    """
+    if n == 0:
+        return (1,)
+    if n > _ROW_STRIDE:
+        _stirling_row(n - _ROW_STRIDE)
+    prev = _stirling_row(n - 1) + (0,)
+    return (0,) + tuple(m * prev[m] + prev[m - 1] for m in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _closed_form(n: int, k: int) -> Fraction:
+    total = Fraction(0)
+    for m, s in enumerate(_stirling_row(n), start=1):
+        if s:
+            total += Fraction((-1) ** (m - 1) * factorial(m - 1) * s) / Fraction(m) ** k
+    return total if n % 2 == 0 else -total
 
 
 class PolyBernoulliCache:
-    """Lazily grown Stirling triangle plus memoized poly-Bernoulli values."""
+    """A cap on the indices answered, in front of the process-wide memo."""
 
     def __init__(self, n_cap: int = 64):
         if not isinstance(n_cap, int) or n_cap < 0:
             raise ValueError(f"n_cap must be a non-negative integer, got {n_cap!r}")
-        self._n_cap = n_cap
-        self._rows: list[list[int]] = [[1]]
-        self._pb: dict[tuple[int, int], Fraction] = {}
-
-    @property
-    def n_cap(self) -> int:
-        return self._n_cap
+        self.n_cap = n_cap
 
     def _check_cap(self, **indices: int) -> None:
         """Raise ValueError naming the first requested index above the cap."""
         for name, value in indices.items():
-            if value > self._n_cap:
+            if value > self.n_cap:
                 raise ValueError(
-                    f"{name}={value} exceeds the cache cap {self._n_cap}; "
+                    f"{name}={value} exceeds the cache cap {self.n_cap}; "
                     "construct PolyBernoulliCache(n_cap=...) for larger tables"
                 )
-
-    def _row(self, n: int) -> list[int]:
-        # Callers check the cap first; the lonesum form reads one row past it.
-        while len(self._rows) <= n:
-            prev = self._rows[-1]
-            r = len(self._rows)
-            row = [0] * (r + 1)
-            for m in range(1, r + 1):
-                above = prev[m] if m < len(prev) else 0
-                row[m] = m * above + prev[m - 1]
-            self._rows.append(row)
-        return self._rows[n]
 
     def stirling2(self, n: int, m: int) -> int:
         """Stirling number of the second kind (set partitions of n into m blocks)."""
@@ -82,7 +90,7 @@ class PolyBernoulliCache:
         if m > n:
             return 0
         self._check_cap(n=n)
-        return self._row(n)[m]
+        return _stirling_row(n)[m]
 
     def poly_bernoulli(self, n: int, k: int) -> Fraction:
         """Poly-Bernoulli number, any integer upper index k.
@@ -91,22 +99,8 @@ class PolyBernoulliCache:
         """
         if n < 0:
             raise ValueError("the lower index must be non-negative")
-        key = (n, k)
-        cached = self._pb.get(key)
-        if cached is not None:
-            return cached
         self._check_cap(n=n)
-        row = self._row(n)
-        total = _F0
-        for m in range(1, n + 2):
-            s = row[m - 1]
-            if not s:
-                continue
-            term = Fraction((-1) ** (m - 1) * factorial(m - 1) * s) / Fraction(m) ** k
-            total += term
-        value = total if n % 2 == 0 else -total
-        self._pb[key] = value
-        return value
+        return _closed_form(n, k)
 
 
 DEFAULT_CACHE = PolyBernoulliCache()
@@ -148,7 +142,8 @@ def poly_bernoulli_negative(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("both indices must be non-negative here")
     DEFAULT_CACHE._check_cap(n=n, k=k)
-    row_n, row_k = DEFAULT_CACHE._row(n + 1), DEFAULT_CACHE._row(k + 1)
+    # Rows n + 1 and k + 1 may lie one past the cap, which bounds n and k.
+    row_n, row_k = _stirling_row(n + 1), _stirling_row(k + 1)
     total = 0
     for j in range(min(n, k) + 1):
         total += factorial(j) ** 2 * row_n[j + 1] * row_k[j + 1]

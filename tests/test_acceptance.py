@@ -94,7 +94,7 @@ def test_criterion_03_lonesum_matrix_counts():
 
 
 def test_criterion_04_iterated_integral_construction():
-    ok = all_passed(verify_iterated_integral(k_max=5, order=12))
+    ok = all_passed(verify_iterated_integral(order=12))
     _criterion(
         4, "integrate-and-divide construction rebuilds the generating function, k=1..5", ok
     )

@@ -195,6 +195,11 @@ UNKNOWN_FLAG = "unrecognized arguments"
         ("verify --suite oracle --order-margin=-1", UNKNOWN_FLAG),
         ("verify --suite T3 --n-max -1", "n_max must be non-negative"),
         ("verify --suite T5 --k-max 0", "T5 needs some k >= 1"),
+        ("eval --number 3 -k 1 -x 5", "-x and --ln-c apply only to --poly"),
+        (
+            "eval --number 3 -k 2 --generalized --ln-a 1 --ln-b 1 --ln-c 7 -x 9",
+            "-x and --ln-c apply only to --poly",
+        ),
     ],
 )
 def test_bad_input_exits_two_with_one_line_message(capsys, argv, message):
@@ -208,7 +213,7 @@ def test_bad_input_exits_two_with_one_line_message(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv", ["polynomial -n 70 -k 2", "eval --poly 70 -k 2 -x 1"]
+    "argv", ["polynomial -n 70 -k 2", "eval --poly 70 -k 2 -x 1", "table --n-max 70"]
 )
 def test_cap_error_names_the_requested_n(argv):
     with pytest.raises(ValueError, match="^n=70 exceeds the cache cap 64"):

@@ -1,9 +1,12 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
 import pytest
 
+from polybernoulli import numbers
 from polybernoulli.exact import X, poly_eval
 from polybernoulli.numbers import (
     PolyBernoulliCache,
@@ -79,6 +82,62 @@ def test_stirling_recurrence_matches_alternating_sum():
     for n in range(26):
         for m in range(n + 1):
             assert stirling2(n, m) == stirling2_explicit(n, m)
+
+
+def test_threads_growing_a_cold_triangle_never_corrupt_it():
+    # A triangle grown in place lost or doubled rows when threads raced to
+    # append.  Eight threads grow a cold triangle together, 500 times over.
+    trials, threads, top = 500, 8, 60
+    expected = [[stirling2_explicit(n, m) for m in range(n + 1)] for n in range(top + 1)]
+    cache = PolyBernoulliCache()
+    start = threading.Barrier(threads + 1, timeout=10)
+    done = threading.Barrier(threads + 1, timeout=10)
+    arrived, errors = [], []
+
+    def grow():
+        for _ in range(trials):
+            start.wait()
+            arrived.append(None)
+            while len(arrived) < threads:  # keep every thread runnable
+                pass
+            try:
+                cache.stirling2(top, 3)
+            except IndexError as exc:
+                errors.append(exc)
+            done.wait()
+
+    workers = [threading.Thread(target=grow) for _ in range(threads)]
+    corrupted = 0
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for _ in range(trials):
+            numbers._stirling_row.cache_clear()
+            arrived.clear()
+            errors.clear()
+            start.wait()
+            done.wait()
+            try:
+                triangle = [[cache.stirling2(n, m) for m in range(n + 1)] for n in range(top + 1)]
+            except IndexError as exc:
+                errors.append(exc)
+            corrupted += bool(errors) or triangle != expected
+    finally:
+        sys.setswitchinterval(old_interval)
+        for worker in workers:
+            worker.join(timeout=10)
+    assert not any(worker.is_alive() for worker in workers)
+    assert corrupted == 0, f"{corrupted} of {trials} triangles corrupted"
+
+
+def test_deep_cold_row_does_not_recurse_row_by_row():
+    numbers._stirling_row.cache_clear()
+    try:
+        assert PolyBernoulliCache(n_cap=2000).stirling2(1100, 2) == stirling2_explicit(1100, 2)
+    finally:
+        numbers._stirling_row.cache_clear()  # rows to 1100 hold about 250 MB
 
 
 def test_stirling_matches_partition_enumeration():

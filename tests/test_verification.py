@@ -16,8 +16,8 @@ from polybernoulli.verification import (
 def test_oracle_verifiers_pass_on_default_grids():
     assert all_passed(verify_pb_closed_form(n_max=10))
     assert all_passed(verify_negative_index(n_max=10))
-    assert all_passed(verify_iterated_integral(k_max=4, order=10))
-    assert all_passed(verify_gen_numbers_anchor(n_max=8, points=2))
+    assert all_passed(verify_iterated_integral(order=10))
+    assert all_passed(verify_gen_numbers_anchor(n_max=8))
 
 
 def test_negative_index_reports_three_views():
