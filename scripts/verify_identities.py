@@ -11,7 +11,6 @@ import argparse
 import sys
 import time
 
-from polybernoulli.generalized import DEFAULT_SEED
 from polybernoulli.reports import all_passed
 from polybernoulli.verification import SUITE_NAMES, run_suite
 
@@ -21,7 +20,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--n-max", type=int, default=None, help="override suite defaults")
     parser.add_argument("--k-min", type=int, default=None)
     parser.add_argument("--k-max", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("-v", "--verbose", action="store_true", help="print every report line")
     return parser.parse_args(argv)
 
@@ -34,9 +32,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     for suite in suites:
         t0 = time.perf_counter()
-        reports = run_suite(
-            suite, n_max=args.n_max, k_min=args.k_min, k_max=args.k_max, seed=args.seed
-        )
+        reports = run_suite(suite, n_max=args.n_max, k_min=args.k_min, k_max=args.k_max)
         elapsed = time.perf_counter() - t0
         ok = all_passed(reports)
         overall_ok = overall_ok and ok

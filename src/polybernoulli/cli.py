@@ -27,16 +27,10 @@ from math import factorial
 
 from . import __version__
 from .exact import MultiPoly, format_poly, format_rational, parse_rational, poly_eval
-from .generalized import (
-    DEFAULT_SEED,
-    gen_pb_numbers,
-    gen_pb_numbers_series,
-    gen_pb_poly,
-    gen_pb_poly_series,
-)
+from .generalized import gen_pb_numbers, gen_pb_poly, gen_pb_poly_series
 from .numbers import DEFAULT_CACHE, poly_bernoulli, poly_bernoulli_poly
 from .reports import all_passed
-from .series import format_series
+from .series import format_series, gen_pb_numbers_series
 from .verification import SUITE_NAMES, run_suite
 
 DISPLAY_NAMES = {"X": "x", "La": "ln(a)", "Lb": "ln(b)", "Lc": "ln(c)"}
@@ -124,13 +118,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        reports = run_suite(
-            args.suite,
-            n_max=args.n_max,
-            k_min=args.k_min,
-            k_max=args.k_max,
-            seed=args.seed,
-        )
+        reports = run_suite(args.suite, n_max=args.n_max, k_min=args.k_min, k_max=args.k_max)
     except ValueError as exc:
         args.parser.error(str(exc))
     ok = all_passed(reports)
@@ -252,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--k-min", "--kmin", type=int, default=None)
     sub.add_argument("--k-max", "--kmax", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_format(sub)
     sub.set_defaults(func=cmd_verify, parser=sub)
 

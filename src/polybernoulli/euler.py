@@ -47,7 +47,7 @@ def _shift_x(p: MultiPoly, delta) -> MultiPoly:
     return p.substitute({"X": X + delta})
 
 
-def verify_euler_identities(n_max: int = 10) -> list[IdentityReport]:
+def verify_euler_identities(n_max: int) -> list[IdentityReport]:
     """Check the three Euler-polynomial identities for all degrees up to n_max.
 
     E1: the shift expansion ``E_k(x+1) = sum_j C(k,j) E_j(x)``.

@@ -16,19 +16,20 @@ the polynomial is the normalized ``t^n`` coefficient of
 
     Li_k(1 - (a b)^{-t}) / (b^t - a^{-t}) * c^{x t},
 
-which is what the series oracle here computes independently of every closed
-form.
+which is what the series oracle computes independently of every closed form:
+``gen_pb_numbers_series`` (in :mod:`~polybernoulli.series`) times ``c^{x t}``.
 
-Each ``verify_*`` function checks one family of identities over an explicit
-grid: it streams ``(label, lhs, rhs)`` cases into
+Each ``verify_*`` function checks one family of identities over the grid
+its caller passes (:func:`~polybernoulli.verification.run_suite` holds the
+defaults): it streams ``(label, lhs, rhs)`` cases into
 :func:`~polybernoulli.reports.check`, which counts and times them, compares
-each exactly and stops at the first mismatch.  A series oracle is expanded
-once per (k, point) and serves every n, exactly to order n_max.
+each exactly and stops at the first mismatch.  The series oracle is read at
+three fixed rational points; it is expanded once per (k, point) and serves
+every n, exactly to order n_max.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -46,27 +47,18 @@ from .exact import (
 )
 from .numbers import classical_bernoulli, poly_bernoulli, poly_bernoulli_poly
 from .reports import IdentityReport, check
-from .series import (
-    PowerSeries,
-    polylog_series,
-    ps_compose,
-    ps_div,
-    ps_exp_linear,
-)
+from .series import PowerSeries, gen_pb_numbers_series, ps_div, ps_exp_linear
 
 __all__ = [
-    "DEFAULT_SEED",
     "gen_pb_numbers",
     "gen_pb_numbers_by_sum",
     "gen_pb_numbers_series",
-    "gen_pb_numbers_oracle",
     "gen_pb_poly",
     "gen_pb_poly_assembled",
     "gen_pb_poly_double_sum",
     "gen_pb_poly_series",
     "pb_derivative",
     "pb_definite_integral",
-    "seeded_rational_points",
     "gen_numbers_oracle_cases",
     "verify_theorem1",
     "verify_theorem2",
@@ -76,11 +68,18 @@ __all__ = [
     "verify_corollary1",
 ]
 
-DEFAULT_SEED = 42
-DEFAULT_K_SET = tuple(range(-3, 4))
-
 _F1_2 = Fraction(1, 2)
-_ORACLE_POINTS = 3
+# Oracle points (ln a, ln b) and (ln a, ln b, ln c, x); ln a + ln b != 0 in each.
+_POINTS_2 = (
+    (Fraction(-5), Fraction(0)),
+    (Fraction(-1, 2), Fraction(-5, 6)),
+    (Fraction(-6, 5), Fraction(5)),
+)
+_POINTS_4 = (
+    (Fraction(-7, 3), Fraction(-1), Fraction(1, 2), Fraction(-5, 4)),
+    (Fraction(7, 5), Fraction(-8, 5), Fraction(1), Fraction(3, 5)),
+    (Fraction(5, 4), Fraction(-3), Fraction(-5), Fraction(2)),
+)
 _Y_VALUES = (Fraction(0), Fraction(1, 2), Fraction(-1, 3))
 _BOUNDS = (
     (Fraction(0), Fraction(1)),
@@ -107,30 +106,6 @@ def gen_pb_numbers_by_sum(n: int, k: int) -> MultiPoly:
         sign = -1 if (n - i) % 2 else 1
         acc = acc + sign * comb(n, i) * poly_bernoulli(i, k) * (LA + LB) ** i * LB ** (n - i)
     return acc
-
-
-def gen_pb_numbers_series(k: int, ln_a, ln_b, order: int) -> PowerSeries:
-    """Series oracle for the two-parameter values at one rational point.
-
-    Expands ``Li_k(1 - (a b)^{-t}) / (b^t - a^{-t})`` with ln a, ln b bound
-    to rationals; requires ``ln a + ln b != 0`` so the denominator keeps
-    valuation one.
-    """
-    la, lb = Fraction(ln_a), Fraction(ln_b)
-    if la + lb == 0:
-        raise ValueError("degenerate parameter point: ln(a) + ln(b) = 0")
-    m = order + 1
-    inner = 1 - ps_exp_linear(-(la + lb), m)
-    num = ps_compose(polylog_series(k, m), inner)
-    den = ps_exp_linear(lb, m) - ps_exp_linear(-la, m)
-    return ps_div(num, den)
-
-
-def gen_pb_numbers_oracle(n_max: int, k: int, point) -> list[Fraction]:
-    """Normalized series coefficients 0..n_max at one (ln a, ln b) point."""
-    la, lb = point
-    s = gen_pb_numbers_series(k, la, lb, n_max)
-    return [s.coefficient(n) * factorial(n) for n in range(n_max + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -211,18 +186,6 @@ def pb_definite_integral(n: int, k: int, alpha, beta) -> MultiPoly:
 # -- helpers ---------------------------------------------------------------
 
 
-def seeded_rational_points(seed: int, count: int, coords: int):
-    """Deterministic small rational points; resamples until the first two
-    coordinates (ln a and ln b) have a nonzero sum."""
-    rng = random.Random(seed)
-    points = []
-    while len(points) < count:
-        pt = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(coords))
-        if pt[0] + pt[1] != 0:
-            points.append(pt)
-    return points
-
-
 def _k_range_text(k_set) -> str:
     ks = sorted(k_set)
     if len(ks) > 1 and ks == list(range(ks[0], ks[-1] + 1)):
@@ -237,24 +200,23 @@ def _nk_cases(ks, n_max: int, lhs, rhs):
             yield f"n={n} k={k}", lhs(n, k), rhs(n, k)
 
 
-def gen_numbers_oracle_cases(n_max: int, ks, seed: int):
-    """Series oracle against the two-parameter closed form at seeded points.
+def gen_numbers_oracle_cases(n_max: int, ks):
+    """Series oracle against the two-parameter closed form at the fixed points.
 
     One oracle expansion per (k, point) serves every n up to n_max.
     """
-    rational_points = seeded_rational_points(seed, _ORACLE_POINTS, 2)
     for k in ks:
-        for la, lb in rational_points:
-            values = gen_pb_numbers_oracle(n_max, k, (la, lb))
+        for la, lb in _POINTS_2:
+            s = gen_pb_numbers_series(k, la, lb, n_max)
             for n in range(n_max + 1):
                 closed = gen_pb_numbers(n, k).eval({"La": la, "Lb": lb})
-                yield f"n={n} k={k} at (ln a, ln b)=({la},{lb})", values[n], closed
+                label = f"n={n} k={k} at (ln a, ln b)=({la},{lb})"
+                yield label, s.coefficient(n) * factorial(n), closed
 
 
-def _gen_poly_oracle_cases(n_max: int, ks, seed: int):
-    rational_points = seeded_rational_points(seed, _ORACLE_POINTS, 4)
+def _gen_poly_oracle_cases(n_max: int, ks):
     for k in ks:
-        for la, lb, lc, x0 in rational_points:
+        for la, lb, lc, x0 in _POINTS_4:
             s = gen_pb_poly_series(k, la, lb, lc, x0, n_max)
             point = {"X": x0, "La": la, "Lb": lb, "Lc": lc}
             label = f"k={k} at (ln a, ln b, ln c, x)=({la},{lb},{lc},{x0})"
@@ -266,12 +228,10 @@ def _gen_poly_oracle_cases(n_max: int, ks, seed: int):
 # -- identity suites -------------------------------------------------------
 
 
-def verify_theorem1(
-    n_max: int = 10, k_set=DEFAULT_K_SET, seed: int = DEFAULT_SEED
-) -> list[IdentityReport]:
+def verify_theorem1(n_max: int, k_set) -> list[IdentityReport]:
     """All constructions of the two- and three-parameter families agree.
 
-    Two checks anchor the closed forms to the series oracle at seeded
+    Two checks anchor the closed forms to the series oracle at fixed
     rational points; the other four are exact polynomial identities
     (alternating-sum form, parameter shift, specialization back to the
     one-variable family, and the single homogeneous substitution against the
@@ -294,12 +254,12 @@ def verify_theorem1(
 
     return [
         check("T1.11", "two-parameter values match the series oracle at seeded rational points",
-              n_range, k_range, gen_numbers_oracle_cases(n_max, ks, seed)),
+              n_range, k_range, gen_numbers_oracle_cases(n_max, ks)),
         check("T1.12", "substituted-polynomial and alternating-sum constructions agree",
               n_range, k_range, _nk_cases(ks, n_max, gen_pb_numbers, gen_pb_numbers_by_sum)),
         check("T1.13",
               "three-parameter polynomials match the series oracle at seeded rational points",
-              n_range, k_range, _gen_poly_oracle_cases(n_max, ks, seed + 1)),
+              n_range, k_range, _gen_poly_oracle_cases(n_max, ks)),
         check("T1.14", "shifting x by one equals moving a factor of c from b to a",
               n_range, k_range, _nk_cases(ks, n_max, shifted, c_moved)),
         check("T1.15",
@@ -336,7 +296,7 @@ def _two_variable_forms(n: int, k: int):
     return clean(lhs), clean(rhs_first), clean(rhs_swapped)
 
 
-def verify_theorem2(n_max: int = 8, k_set=DEFAULT_K_SET) -> list[IdentityReport]:
+def verify_theorem2(n_max: int, k_set) -> list[IdentityReport]:
     """Addition formula: expanding at x + y matches the binomial convolution.
 
     Checked at rational shifts y, with the roles of x and y swapped, and once
@@ -380,7 +340,7 @@ def verify_theorem2(n_max: int = 8, k_set=DEFAULT_K_SET) -> list[IdentityReport]
     ]
 
 
-def verify_theorem3(n_max: int = 10, k_set=DEFAULT_K_SET) -> list[IdentityReport]:
+def verify_theorem3(n_max: int, k_set) -> list[IdentityReport]:
     """The two expanded closed forms rebuild the production polynomial."""
     ks = sorted(k_set)
     n_range = f"0..{n_max}"
@@ -394,18 +354,16 @@ def verify_theorem3(n_max: int = 10, k_set=DEFAULT_K_SET) -> list[IdentityReport
     ]
 
 
-def verify_theorem4(
-    n_max: int = 10, k_set=DEFAULT_K_SET, integral_n_max: int | None = None
-) -> list[IdentityReport]:
+def verify_theorem4(n_max: int, k_set) -> list[IdentityReport]:
     """Derivatives and definite integrals of the three-parameter family.
 
-    The integral identity is checked multiplied out: ``(n+1) Lc`` times the
-    integral equals the antidifference of the degree-(n+1) polynomial.
+    The integral identity is checked multiplied out, for n up to
+    ``min(n_max, 8)``: ``(n+1) Lc`` times the integral equals the
+    antidifference of the degree-(n+1) polynomial.
     """
     ks = sorted(k_set)
     k_range = _k_range_text(ks)
-    if integral_n_max is None:
-        integral_n_max = n_max
+    n_integral = min(n_max, 8)
     bounds_text = ",".join(f"({format_rational(a)},{format_rational(b)})" for a, b in _BOUNDS)
 
     def derivative_cases():
@@ -422,7 +380,7 @@ def verify_theorem4(
 
     def integral_cases():
         for k in ks:
-            for n in range(integral_n_max + 1):
+            for n in range(n_integral + 1):
                 scale = (n + 1) * LC
                 anti = gen_pb_poly(n + 1, k)
                 for alpha, beta in _BOUNDS:
@@ -434,7 +392,7 @@ def verify_theorem4(
         check("T4.20", "repeated d/dx lowers the degree with falling-factorial weights",
               f"0..{n_max}", k_range, derivative_cases()),
         check("T4.21", f"definite integrals over {bounds_text} match the scaled antidifference",
-              f"0..{integral_n_max}", k_range, integral_cases()),
+              f"0..{n_integral}", k_range, integral_cases()),
     ]
 
 
@@ -443,7 +401,7 @@ def _b_poly_1bb(n: int, k1: int) -> MultiPoly:
     return gen_pb_poly(n, k1).substitute({"La": 0, "Lc": LB})
 
 
-def verify_theorem5(n_max: int = 8, k1_set=(1, 2)) -> list[IdentityReport]:
+def verify_theorem5(n_max: int, k1_set) -> list[IdentityReport]:
     """Mixed expansion over Euler polynomials at (1, b, b) parameters.
 
     ``B_n(x + y)`` must equal half the binomial convolution of
@@ -474,7 +432,7 @@ def verify_theorem5(n_max: int = 8, k1_set=(1, 2)) -> list[IdentityReport]:
     ]
 
 
-def verify_corollary1(n_max: int = 10) -> list[IdentityReport]:
+def verify_corollary1(n_max: int) -> list[IdentityReport]:
     """Classical Bernoulli polynomials expand over Euler polynomials.
 
     The left side comes straight from dividing ``t e^{x t}`` by ``e^t - 1``;

@@ -15,8 +15,9 @@ leading coefficient must be an invertible scalar (a nonzero Rational, or a
 polynomial that is a nonzero rational constant).
 
 The generating-function constructors at the bottom build the series whose
-normalized coefficients are poly-Bernoulli numbers, both in closed form from
-the polylogarithm and through the equivalent nested-integration recipe.
+normalized coefficients are poly-Bernoulli numbers: the two-parameter series
+at a rational (ln a, ln b) point, its plain specialization at (1, 0), and the
+equivalent nested-integration recipe.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "ps_compose",
     "ps_exp_linear",
     "polylog_series",
+    "gen_pb_numbers_series",
     "gf_poly_bernoulli",
     "gf_iterated_integral",
     "format_series",
@@ -298,19 +300,33 @@ def polylog_series(k: int, order: int) -> PowerSeries:
     return PowerSeries(coeffs)
 
 
+def gen_pb_numbers_series(k: int, ln_a, ln_b, order: int) -> PowerSeries:
+    """Series oracle for the two-parameter values at one rational point.
+
+    Expands ``Li_k(1 - (a b)^{-t}) / (b^t - a^{-t})`` with ln a, ln b bound
+    to rationals; requires ``ln a + ln b != 0`` so the denominator keeps
+    valuation one.  Internally everything is computed one order higher so the
+    valuation-1 division still delivers the requested order.
+    """
+    la, lb = Fraction(ln_a), Fraction(ln_b)
+    if la + lb == 0:
+        raise ValueError("degenerate parameter point: ln(a) + ln(b) = 0")
+    _check_order(order)
+    m = order + 1
+    inner = 1 - ps_exp_linear(-(la + lb), m)
+    num = ps_compose(polylog_series(k, m), inner)
+    den = ps_exp_linear(lb, m) - ps_exp_linear(-la, m)
+    return ps_div(num, den)
+
+
 def gf_poly_bernoulli(k: int, order: int) -> PowerSeries:
     """Generating series of the poly-Bernoulli numbers with upper index ``k``.
 
-    Built as ``Li_k(1 - e^{-t}) / (1 - e^{-t})``; the coefficient of ``t^n``
-    times ``n!`` is the n-th poly-Bernoulli number.  Internally everything is
-    computed one order higher so the valuation-1 division still delivers the
-    requested order.
+    The two-parameter series at ``(ln a, ln b) = (1, 0)``, that is
+    ``Li_k(1 - e^{-t}) / (1 - e^{-t})``; the coefficient of ``t^n`` times
+    ``n!`` is the n-th poly-Bernoulli number.
     """
-    _check_order(order)
-    m = order + 1
-    inner = PowerSeries.one(m) - ps_exp_linear(Fraction(-1), m)
-    num = ps_compose(polylog_series(k, m), inner)
-    return ps_div(num, inner)
+    return gen_pb_numbers_series(k, 1, 0, order)
 
 
 def gf_iterated_integral(k: int, order: int) -> PowerSeries:

@@ -5,9 +5,10 @@ with them: truncated series expansions, the double Stirling sum at negative
 upper index, and the iterated-integral build of the generating function.
 Like every suite, each one is a lazy stream of ``(label, lhs, rhs)`` cases
 fed to :func:`~polybernoulli.reports.check`.  ``run_suite`` is what the
-command line calls; it maps a suite name to the right verifier family with
-sensible grid defaults and returns the combined report list in a stable
-order.
+command line calls; it maps a suite name to the right verifier family and
+returns the combined report list in a stable order.  It is the one place
+that sets grids: no ``verify_*`` function has a default, and ``run_suite``
+checks the requested ``n_max`` against the cap before any suite runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from math import factorial
 
 from .euler import verify_euler_identities
 from .generalized import (
-    DEFAULT_SEED,
     gen_numbers_oracle_cases,
     verify_corollary1,
     verify_theorem1,
@@ -25,7 +25,7 @@ from .generalized import (
     verify_theorem4,
     verify_theorem5,
 )
-from .numbers import poly_bernoulli, poly_bernoulli_negative
+from .numbers import DEFAULT_CACHE, poly_bernoulli, poly_bernoulli_negative
 from .reports import IdentityReport, check
 from .series import gf_iterated_integral, gf_poly_bernoulli
 
@@ -41,9 +41,7 @@ __all__ = [
 SUITE_NAMES = ("all", "T1", "T2", "T3", "T4", "T5", "C1", "euler", "oracle")
 
 
-def verify_pb_closed_form(
-    n_max: int = 12, k_min: int = -3, k_max: int = 3
-) -> list[IdentityReport]:
+def verify_pb_closed_form(n_max: int, k_min: int, k_max: int) -> list[IdentityReport]:
     """Closed-form numbers against the generating-function expansion."""
 
     def cases():
@@ -58,7 +56,7 @@ def verify_pb_closed_form(
     ]
 
 
-def verify_negative_index(n_max: int = 12) -> list[IdentityReport]:
+def verify_negative_index(n_max: int) -> list[IdentityReport]:
     """Negative-upper-index structure: double Stirling sum, duality, integrality."""
     n_range = f"0..{n_max}"
     k_range = f"-{n_max}..0"
@@ -84,7 +82,7 @@ def verify_negative_index(n_max: int = 12) -> list[IdentityReport]:
     ]
 
 
-def verify_iterated_integral(order: int = 12) -> list[IdentityReport]:
+def verify_iterated_integral(order: int) -> list[IdentityReport]:
     """The integrate-and-divide construction rebuilds the generating function, k = 1..5."""
     return [
         check("ORACLE", "iterated-integral construction rebuilds the generating function",
@@ -94,14 +92,12 @@ def verify_iterated_integral(order: int = 12) -> list[IdentityReport]:
     ]
 
 
-def verify_gen_numbers_anchor(
-    n_max: int = 12, k_min: int = -3, k_max: int = 3, seed: int = DEFAULT_SEED
-) -> list[IdentityReport]:
+def verify_gen_numbers_anchor(n_max: int, k_min: int, k_max: int) -> list[IdentityReport]:
     """Two-parameter closed form pinned to its series oracle on a wider grid."""
     return [
         check("ORACLE", "two-parameter closed form anchored to the series oracle",
               f"0..{n_max}", f"{k_min}..{k_max}",
-              gen_numbers_oracle_cases(n_max, range(k_min, k_max + 1), seed))
+              gen_numbers_oracle_cases(n_max, range(k_min, k_max + 1)))
     ]
 
 
@@ -110,7 +106,6 @@ def run_suite(
     n_max: int | None = None,
     k_min: int | None = None,
     k_max: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> list[IdentityReport]:
     """Run one named identity suite (or all of them) and collect the reports."""
     if suite not in SUITE_NAMES:
@@ -119,8 +114,10 @@ def run_suite(
     hi = 3 if k_max is None else k_max
     if lo > hi:
         raise ValueError("the k range is empty")
-    if n_max is not None and n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    if n_max is not None:
+        if n_max < 0:
+            raise ValueError("n_max must be non-negative")
+        DEFAULT_CACHE._check_cap(n=n_max)
     if suite in ("all", "T5") and hi < 1:
         raise ValueError("T5 needs some k >= 1 in the k range")
     k_set = range(lo, hi + 1)
@@ -130,14 +127,13 @@ def run_suite(
 
     reports: list[IdentityReport] = []
     if suite in ("all", "T1"):
-        reports += verify_theorem1(n_or(10), k_set, seed=seed)
+        reports += verify_theorem1(n_or(10), k_set)
     if suite in ("all", "T2"):
         reports += verify_theorem2(n_or(8), k_set)
     if suite in ("all", "T3"):
         reports += verify_theorem3(n_or(10), k_set)
     if suite in ("all", "T4"):
-        n = n_or(10)
-        reports += verify_theorem4(n, k_set, integral_n_max=min(n, 8))
+        reports += verify_theorem4(n_or(10), k_set)
     if suite in ("all", "T5"):
         reports += verify_theorem5(n_or(8), range(max(lo, 1), hi + 1))
     if suite in ("all", "C1"):
@@ -149,5 +145,5 @@ def run_suite(
         reports += verify_pb_closed_form(n, lo, hi)
         reports += verify_negative_index(n)
         reports += verify_iterated_integral(order=n)
-        reports += verify_gen_numbers_anchor(n, lo, hi, seed=seed)
+        reports += verify_gen_numbers_anchor(n, lo, hi)
     return reports

@@ -36,6 +36,7 @@ from polybernoulli.verification import (
 )
 
 F = Fraction
+K_SET = range(-3, 4)
 
 # The benchmark's pinned `verify --suite all` transcript; read, never copied.
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -101,24 +102,25 @@ def test_criterion_04_iterated_integral_construction():
 
 
 def test_criterion_05_parameterized_constructions_agree():
-    ok = all_passed(verify_theorem1(n_max=10)) and all_passed(verify_theorem3(n_max=10))
+    ok = all_passed(verify_theorem1(n_max=10, k_set=K_SET))
+    ok = ok and all_passed(verify_theorem3(n_max=10, k_set=K_SET))
     _criterion(
         5, "all parameterized constructions agree and match the series oracle, n<=10", ok
     )
 
 
 def test_criterion_06_two_parameter_anchor():
-    ok = all_passed(verify_gen_numbers_anchor(n_max=12))
+    ok = all_passed(verify_gen_numbers_anchor(n_max=12, k_min=-3, k_max=3))
     _criterion(6, "two-parameter closed form anchored to the series oracle, n<=12", ok)
 
 
 def test_criterion_07_addition_formula():
-    ok = all_passed(verify_theorem2(n_max=8))
+    ok = all_passed(verify_theorem2(n_max=8, k_set=K_SET))
     _criterion(7, "addition formula holds at rational shifts and symbolically, n<=8", ok)
 
 
 def test_criterion_08_calculus_identities():
-    ok = all_passed(verify_theorem4(n_max=10, integral_n_max=8))
+    ok = all_passed(verify_theorem4(n_max=10, k_set=K_SET))
     _criterion(8, "derivative and definite-integral identities, n<=10 and n<=8", ok)
 
 
@@ -134,8 +136,10 @@ def test_criterion_09_euler_identities():
 
 
 def test_criterion_10_mixed_euler_expansion():
-    ok = all_passed(verify_theorem5(n_max=8))
-    _criterion(10, "expansion over Euler polynomials at (1, b, b) parameters, n<=8", ok)
+    ok = all_passed(verify_theorem5(n_max=8, k1_set=range(1, 4)))
+    _criterion(
+        10, "expansion over Euler polynomials at (1, b, b) parameters, n<=8, k1=1..3", ok
+    )
 
 
 def test_criterion_11_classical_bernoulli_expansion():

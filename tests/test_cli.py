@@ -149,6 +149,25 @@ def test_verify_json_shape(capsys):
     assert all(r["elapsed_ms"] >= 0 for r in obj["reports"])
 
 
+def test_verify_all_pins_every_grid(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == 0
+    cases = [(r["id"], r["cases"]) for r in json.loads(out)["reports"]]
+    assert cases == [
+        ("T1.11", 231), ("T1.12", 77), ("T1.13", 231),
+        ("T1.14", 77), ("T1.15", 77), ("T1.16", 77),
+        ("T2.17", 189), ("T2.17", 189), ("T2.17", 63),
+        ("T3.18", 77), ("T3.19", 77),
+        ("T4.20", 539), ("T4.21", 189),
+        ("T5", 27), ("T5", 27), ("T5", 27),
+        ("C1", 11),
+        ("E1", 11), ("E2", 11), ("E3", 11),
+        ("ORACLE", 91), ("ORACLE", 169), ("ORACLE", 169), ("ORACLE", 169),
+        ("ORACLE", 5), ("ORACLE", 273),
+    ]
+    assert sum(n for _, n in cases) == 3094
+
+
 def test_verify_failure_sets_exit_one(capsys, monkeypatch):
     failing = IdentityReport("C1", "planted failure", "0..1", "-", False, "n=0: planted", cases=1)
     monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: [failing])
@@ -177,6 +196,7 @@ def test_verify_deterministic_across_runs(capsys):
         ("table", "--n-max", "3", "--k-min", "2", "--k-max", "-2"),
         ("verify", "--suite", "nonsense"),
         ("eval", "--number", "3", "-k", "1", "--order-margin=-5"),
+        ("verify", "--seed", "1"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -195,6 +215,7 @@ UNKNOWN_FLAG = "unrecognized arguments"
         ("verify --suite oracle --order-margin=-1", UNKNOWN_FLAG),
         ("verify --suite T3 --n-max -1", "n_max must be non-negative"),
         ("verify --suite T5 --k-max 0", "T5 needs some k >= 1"),
+        ("verify --suite T1 --n-max 65", "n=65 exceeds the cache cap 64"),
         ("eval --number 3 -k 1 -x 5", "-x and --ln-c apply only to --poly"),
         (
             "eval --number 3 -k 2 --generalized --ln-a 1 --ln-b 1 --ln-c 7 -x 9",

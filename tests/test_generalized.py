@@ -1,6 +1,7 @@
 """Parameterized poly-Bernoulli constructions and the identity verifiers."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -8,7 +9,6 @@ from polybernoulli.exact import LA, LB, LC, MultiPoly, X, poly_eval
 from polybernoulli.generalized import (
     gen_pb_numbers,
     gen_pb_numbers_by_sum,
-    gen_pb_numbers_oracle,
     gen_pb_numbers_series,
     gen_pb_poly,
     gen_pb_poly_assembled,
@@ -16,7 +16,6 @@ from polybernoulli.generalized import (
     gen_pb_poly_series,
     pb_definite_integral,
     pb_derivative,
-    seeded_rational_points,
     verify_corollary1,
     verify_theorem1,
     verify_theorem2,
@@ -27,6 +26,12 @@ from polybernoulli.generalized import (
 from polybernoulli.numbers import poly_bernoulli, poly_bernoulli_poly
 
 F = Fraction
+
+
+def oracle_values(n_max, k, point):
+    """Normalized series coefficients 0..n_max at one (ln a, ln b) point."""
+    s = gen_pb_numbers_series(k, *point, n_max)
+    return [s.coefficient(n) * factorial(n) for n in range(n_max + 1)]
 
 
 def test_gen_numbers_small_closed_forms():
@@ -69,14 +74,14 @@ def test_gen_poly_at_zero_is_numbers():
 
 
 def test_oracle_at_unit_point_gives_plain_numbers():
-    values = gen_pb_numbers_oracle(8, 1, (F(1), F(0)))
+    values = oracle_values(8, 1, (F(1), F(0)))
     assert values[:5] == [F(1), F(1, 2), F(1, 6), F(0), F(-1, 30)]
     assert values == [poly_bernoulli(n, 1) for n in range(9)]
 
 
 def test_oracle_matches_closed_form_at_mixed_point():
     point = (F(1), F(1))
-    values = gen_pb_numbers_oracle(6, 2, point)
+    values = oracle_values(6, 2, point)
     assert values[1] == F(-1, 2)
     for n in range(7):
         assert values[n] == poly_eval(gen_pb_numbers(n, 2), {"La": 1, "Lb": 1})
@@ -84,7 +89,7 @@ def test_oracle_matches_closed_form_at_mixed_point():
 
 def test_oracle_at_fractional_point_negative_k():
     point = (F(1, 2), F(1, 3))
-    values = gen_pb_numbers_oracle(6, -1, point)
+    values = oracle_values(6, -1, point)
     for n in range(7):
         assert values[n] == poly_eval(
             gen_pb_numbers(n, -1), {"La": point[0], "Lb": point[1]}
@@ -147,14 +152,6 @@ def test_integral_respects_orientation_and_degenerate_bounds():
     assert pb_definite_integral(3, 1, b, b).is_zero()
 
 
-def test_seeded_points_deterministic_and_nondegenerate():
-    first = seeded_rational_points(7, 5, 2)
-    second = seeded_rational_points(7, 5, 2)
-    assert first == second
-    assert all(la + lb != 0 for la, lb in first)
-    assert seeded_rational_points(7, 5, 2) != seeded_rational_points(8, 5, 2)
-
-
 def test_theorem1_suite_passes():
     reports = verify_theorem1(n_max=6, k_set=range(-2, 3))
     assert [r.identity_id for r in reports] == [
@@ -182,13 +179,13 @@ def test_theorem3_suite_passes():
 
 
 def test_theorem4_suite_passes():
-    reports = verify_theorem4(n_max=6, k_set=range(-2, 3), integral_n_max=5)
+    reports = verify_theorem4(n_max=6, k_set=range(-2, 3))
     assert [r.identity_id for r in reports] == ["T4.20", "T4.21"]
     assert all(r.passed for r in reports), [r.format_line() for r in reports]
 
 
 def test_theorem5_suite_passes():
-    reports = verify_theorem5(n_max=5)
+    reports = verify_theorem5(n_max=5, k1_set=(1, 2))
     assert [r.identity_id for r in reports] == ["T5", "T5"]
     assert all(r.passed for r in reports), [r.format_line() for r in reports]
 
@@ -205,6 +202,6 @@ def test_zero_case_grids_raise_instead_of_passing():
 
 
 def test_reports_count_their_cases():
-    reports = verify_theorem4(n_max=3, k_set=(-1, 2), integral_n_max=2)
-    # T4.20: l runs over 0..n+1 for n = 0..3; T4.21: three bounds for n = 0..2
-    assert [r.cases for r in reports] == [2 * (2 + 3 + 4 + 5), 2 * 3 * 3]
+    reports = verify_theorem4(n_max=3, k_set=(-1, 2))
+    # T4.20: l runs over 0..n+1 for n = 0..3; T4.21: three bounds for n = 0..3
+    assert [r.cases for r in reports] == [2 * (2 + 3 + 4 + 5), 2 * 4 * 3]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from polybernoulli.generalized import gen_pb_numbers
 from polybernoulli.reports import all_passed
 from polybernoulli.verification import (
     SUITE_NAMES,
@@ -14,10 +15,10 @@ from polybernoulli.verification import (
 
 
 def test_oracle_verifiers_pass_on_default_grids():
-    assert all_passed(verify_pb_closed_form(n_max=10))
+    assert all_passed(verify_pb_closed_form(n_max=10, k_min=-3, k_max=3))
     assert all_passed(verify_negative_index(n_max=10))
     assert all_passed(verify_iterated_integral(order=10))
-    assert all_passed(verify_gen_numbers_anchor(n_max=8))
+    assert all_passed(verify_gen_numbers_anchor(n_max=8, k_min=-3, k_max=3))
 
 
 def test_negative_index_reports_three_views():
@@ -49,8 +50,8 @@ def test_run_suite_all_order_and_outcome():
 
 
 def test_run_suite_deterministic():
-    first = run_suite("T1", n_max=5, k_min=-2, k_max=2, seed=11)
-    second = run_suite("T1", n_max=5, k_min=-2, k_max=2, seed=11)
+    first = run_suite("T1", n_max=5, k_min=-2, k_max=2)
+    second = run_suite("T1", n_max=5, k_min=-2, k_max=2)
     assert first == second
 
 
@@ -68,3 +69,10 @@ def test_run_suite_t5_needs_a_positive_k():
     with pytest.raises(ValueError, match="T5 needs some k >= 1"):
         run_suite("all", n_max=2, k_min=-2, k_max=0)
     assert all_passed(run_suite("T3", n_max=2, k_min=-2, k_max=0))
+
+
+def test_run_suite_checks_the_cap_before_any_suite_runs():
+    gen_pb_numbers.cache_clear()
+    with pytest.raises(ValueError, match="^n=65"):
+        run_suite("T1", n_max=65)
+    assert gen_pb_numbers.cache_info().currsize == 0
