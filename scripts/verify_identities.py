@@ -4,7 +4,8 @@
 This is the long-form driver: where the `verify` subcommand answers one
 question, this walks all suites with one line per suite (status, check
 count, cases compared, wall time) and expands the per-identity reports on
-failure or on request.  Exit status follows the overall outcome.
+failure or on request.  Exit status is 0 when every identity holds, 1 when
+one fails, and 2 for a grid no suite can run.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import sys
 import time
 
 from polybernoulli.reports import all_passed
-from polybernoulli.verification import SUITE_NAMES, run_suite
+from polybernoulli.verification import SUITE_NAMES, run_suite, validate_grid
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -21,7 +22,12 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--k-min", type=int, default=None)
     parser.add_argument("--k-max", type=int, default=None)
     parser.add_argument("-v", "--verbose", action="store_true", help="print every report line")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    try:
+        validate_grid("all", args.n_max, args.k_min, args.k_max)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args
 
 
 def main(argv=None) -> int:

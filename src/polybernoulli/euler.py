@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
-from .exact import LA, LB, LC, MultiPoly, X, as_poly
+from .exact import LA, LB, LC, MultiPoly, X, as_poly, binomial_convolution
 from .reports import IdentityReport, check
 from .series import ps_div, ps_exp_linear
 
@@ -59,10 +59,7 @@ def verify_euler_identities(n_max: int) -> list[IdentityReport]:
     degrees = range(n_max + 1)
 
     def binomial_sum(k):
-        rhs = MultiPoly.constant(0)
-        for j in range(k + 1):
-            rhs = rhs + comb(k, j) * euler_poly(j)
-        return rhs
+        return binomial_convolution([euler_poly(j) for j in range(k + 1)], [1] * (k + 1))
 
     def pairing(p):
         return _shift_x(p, 1) + p

@@ -11,6 +11,9 @@ so identities can be checked exactly; ``X`` is the polynomial argument.
 Terms live in a map from exponent vectors ``(eX, eLa, eLb, eLc)`` to nonzero
 coefficients, so equality is plain map equality and zero is the empty map.
 
+Every power and every binomial sum in the closed forms is built by one
+routine here: ``powers`` and ``binomial_convolution``.
+
 Everything here is immutable; operations return new objects, and values can
 be shared freely across threads.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Mapping, Union
 
 __all__ = [
@@ -31,6 +35,8 @@ __all__ = [
     "LC",
     "as_poly",
     "poly_eval",
+    "powers",
+    "binomial_convolution",
     "homogeneous_substitute",
     "format_rational",
     "parse_rational",
@@ -189,17 +195,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial exponent must be a non-negative integer")
-        result = MultiPoly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return powers(self, exponent)[-1]
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
@@ -230,22 +226,14 @@ class MultiPoly:
         for name in bindings:
             if name not in _VAR_INDEX:
                 raise ValueError(f"unknown indeterminate: {name}")
-        bound = {_VAR_INDEX[name]: as_poly(v) for name, v in bindings.items()}
-        powers: dict[tuple[int, int], MultiPoly] = {}
-
-        def power(idx, e):
-            key = (idx, e)
-            if key not in powers:
-                powers[key] = bound[idx] ** e
-            return powers[key]
-
+        bound = {_VAR_INDEX[name]: powers(v, self.degree(name)) for name, v in bindings.items()}
         total = MultiPoly.constant(0)
         for exps, coeff in self._terms.items():
             residual = tuple(0 if i in bound else e for i, e in enumerate(exps))
             term = MultiPoly._from_clean({residual: coeff})
-            for idx in bound:
+            for idx, pows in bound.items():
                 if exps[idx]:
-                    term = term * power(idx, exps[idx])
+                    term = term * pows[exps[idx]]
             total = total + term
         return total
 
@@ -292,6 +280,31 @@ def poly_eval(p: MultiPoly, point: Mapping[str, Scalar]) -> Fraction:
     return p.eval(point)
 
 
+def powers(base: PolyLike, n: int) -> list[MultiPoly]:
+    """``[1, base, base^2, ..., base^n]``, one multiplication per power."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("polynomial exponent must be a non-negative integer")
+    base = as_poly(base)
+    out = [MultiPoly.constant(1), base][: n + 1]
+    while len(out) <= n:
+        out.append(out[-1] * base)
+    return out
+
+
+def binomial_convolution(a, b):
+    """``sum_l C(n, l) a[l] b[n - l]`` with ``n = len(a) - 1``.
+
+    This is ``n!`` times the ``t^n`` coefficient of the product of the two
+    exponential generating functions ``sum a_l t^l / l!`` and
+    ``sum b_m t^m / m!``.  Entries may be polynomials or scalars; the sum
+    lives in whichever ring they do.
+    """
+    n = len(a) - 1
+    if n < 0 or len(b) != len(a):
+        raise ValueError(f"convolution needs equal non-empty lengths, got {len(a)}, {len(b)}")
+    return sum(comb(n, l) * a[l] * b[n - l] for l in range(n + 1))
+
+
 def homogeneous_substitute(p: MultiPoly, numerator: PolyLike, complement: PolyLike) -> MultiPoly:
     """Substitute ``X`` by a formal quotient with denominators cleared.
 
@@ -302,10 +315,7 @@ def homogeneous_substitute(p: MultiPoly, numerator: PolyLike, complement: PolyLi
     """
     parts = p.split_by("X")
     degree = max(parts, default=0)
-    num_pows, comp_pows = [MultiPoly.constant(1)], [MultiPoly.constant(1)]
-    for _ in range(degree):
-        num_pows.append(num_pows[-1] * numerator)
-        comp_pows.append(comp_pows[-1] * complement)
+    num_pows, comp_pows = powers(numerator, degree), powers(complement, degree)
     acc = MultiPoly.constant(0)
     for d, q in parts.items():
         acc = acc + q * num_pows[d] * comp_pows[degree - d]

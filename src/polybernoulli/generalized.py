@@ -42,8 +42,10 @@ from .exact import (
     MultiPoly,
     X,
     as_poly,
+    binomial_convolution,
     format_rational,
     homogeneous_substitute,
+    powers,
 )
 from .numbers import classical_bernoulli, poly_bernoulli, poly_bernoulli_poly
 from .reports import IdentityReport, check
@@ -101,11 +103,8 @@ def gen_pb_numbers_by_sum(n: int, k: int) -> MultiPoly:
     """The same value as an explicit alternating binomial sum (cross-check path)."""
     if n < 0:
         raise ValueError("the lower index must be non-negative")
-    acc = MultiPoly.constant(0)
-    for i in range(n + 1):
-        sign = -1 if (n - i) % 2 else 1
-        acc = acc + sign * comb(n, i) * poly_bernoulli(i, k) * (LA + LB) ** i * LB ** (n - i)
-    return acc
+    scaled = [poly_bernoulli(i, k) * p for i, p in enumerate(powers(LA + LB, n))]
+    return binomial_convolution(scaled, powers(-LB, n))
 
 
 @lru_cache(maxsize=None)
@@ -126,25 +125,18 @@ def gen_pb_poly_assembled(n: int, k: int) -> MultiPoly:
     X out of the numerator, so this route never reads the one substitution
     that builds :func:`gen_pb_poly`; the two share only the plain numbers.
     """
-    acc = MultiPoly.constant(0)
-    for l in range(n + 1):
-        acc = acc + comb(n, l) * (X * LC) ** (n - l) * gen_pb_numbers(l, k)
-    return acc
+    if n < 0:
+        raise ValueError("the lower index must be non-negative")
+    return binomial_convolution([gen_pb_numbers(l, k) for l in range(n + 1)], powers(X * LC, n))
 
 
 def gen_pb_poly_double_sum(n: int, k: int) -> MultiPoly:
-    """Same polynomial as a fully expanded double binomial sum."""
-    acc = MultiPoly.constant(0)
-    for l in range(n + 1):
-        outer = comb(n, l) * LC ** (n - l) * X ** (n - l)
-        inner = MultiPoly.constant(0)
-        for j in range(l + 1):
-            sign = -1 if (l - j) % 2 else 1
-            inner = inner + (
-                sign * comb(l, j) * poly_bernoulli(j, k) * LB ** (l - j) * (LA + LB) ** j
-            )
-        acc = acc + outer * inner
-    return acc
+    """Same polynomial as a double binomial sum: the convolution of the
+    alternating sums :func:`gen_pb_numbers_by_sum` with powers of ``X * Lc``."""
+    if n < 0:
+        raise ValueError("the lower index must be non-negative")
+    inner = [gen_pb_numbers_by_sum(l, k) for l in range(n + 1)]
+    return binomial_convolution(inner, powers(X * LC, n))
 
 
 def gen_pb_poly_series(
@@ -308,21 +300,21 @@ def verify_theorem2(n_max: int, k_set) -> list[IdentityReport]:
     k_range = _k_range_text(ks)
     y_text = ",".join(format_rational(y) for y in _Y_VALUES)
 
-    def at_y(n, l, k, y0):
-        return comb(n, l) * LC ** (n - l) * gen_pb_poly(l, k) * Fraction(y0) ** (n - l)
+    def at_y(k, y0):
+        return [gen_pb_poly(l, k) for l in range(n_max + 1)], powers(LC * y0, n_max)
 
-    def at_y_swapped(n, l, k, y0):
-        value_at_y = gen_pb_poly(l, k).substitute({"X": y0})
-        return comb(n, l) * LC ** (n - l) * value_at_y * X ** (n - l)
+    def at_y_swapped(k, y0):
+        values_at_y = [gen_pb_poly(l, k).substitute({"X": y0}) for l in range(n_max + 1)]
+        return values_at_y, powers(LC * X, n_max)
 
-    def shift_cases(rhs_term, suffix=""):
+    def shift_cases(factors, suffix=""):
+        """``B_n(x + y)`` against the convolution of ``factors(k, y)`` cut at n."""
         for k in ks:
+            by_y = {y0: factors(k, y0) for y0 in _Y_VALUES}
             for n in range(n_max + 1):
-                for y0 in _Y_VALUES:
+                for y0, (a, b) in by_y.items():
                     lhs = _shift_x(gen_pb_poly(n, k), y0)
-                    rhs = MultiPoly.constant(0)
-                    for l in range(n + 1):
-                        rhs = rhs + rhs_term(n, l, k, y0)
+                    rhs = binomial_convolution(a[: n + 1], b[: n + 1])
                     yield f"n={n} k={k} y={y0}{suffix}", lhs, rhs
 
     def symbolic_cases():
@@ -396,11 +388,6 @@ def verify_theorem4(n_max: int, k_set) -> list[IdentityReport]:
     ]
 
 
-def _b_poly_1bb(n: int, k1: int) -> MultiPoly:
-    """The three-parameter polynomial at a = 1, c = b (only Lb remains)."""
-    return gen_pb_poly(n, k1).substitute({"La": 0, "Lc": LB})
-
-
 def verify_theorem5(n_max: int, k1_set) -> list[IdentityReport]:
     """Mixed expansion over Euler polynomials at (1, b, b) parameters.
 
@@ -412,18 +399,16 @@ def verify_theorem5(n_max: int, k1_set) -> list[IdentityReport]:
     k1s = sorted(k1_set)
     if not k1s:
         raise ValueError("T5 needs at least one k1")
-    euler_1bb = [gen_euler_poly(m).substitute({"La": 0, "Lc": LB}) for m in range(n_max + 1)]
+    to_1bb = {"La": 0, "Lc": LB}
+    euler_1bb = [gen_euler_poly(m).substitute(to_1bb) for m in range(n_max + 1)]
 
     def cases(k1):
+        b_1bb = [gen_pb_poly(m, k1).substitute(to_1bb) for m in range(n_max + 1)]
         for y0 in _Y_VALUES:
+            paired = [b.substitute({"X": y0}) + b.substitute({"X": y0 + 1}) for b in b_1bb]
             for n in range(n_max + 1):
-                lhs = _shift_x(_b_poly_1bb(n, k1), y0)
-                rhs = MultiPoly.constant(0)
-                for k in range(n + 1):
-                    b = _b_poly_1bb(k, k1)
-                    paired = b.substitute({"X": y0}) + b.substitute({"X": y0 + 1})
-                    rhs = rhs + comb(n, k) * paired * euler_1bb[n - k]
-                yield f"n={n} k1={k1} y={y0}", lhs, rhs * _F1_2
+                rhs = binomial_convolution(paired[: n + 1], euler_1bb[: n + 1])
+                yield f"n={n} k1={k1} y={y0}", _shift_x(b_1bb[n], y0), rhs * _F1_2
 
     return [
         check("T5", "expansion over Euler polynomials at (1, b, b) parameters",
@@ -445,13 +430,11 @@ def verify_corollary1(n_max: int) -> list[IdentityReport]:
         num = PowerSeries.identity(m) * ps_exp_linear(X, m)
         den = ps_exp_linear(Fraction(1), m) - 1
         bernoulli_series = ps_div(num, den)
-        for n in range(n_max + 1):
+        bernoulli = [0 if k == 1 else classical_bernoulli(k) for k in range(m)]
+        euler = [euler_poly(k) for k in range(m)]
+        for n in range(m):
             lhs = as_poly(bernoulli_series.coefficient(n) * factorial(n))
-            rhs = MultiPoly.constant(0)
-            for k in range(n + 1):
-                if k != 1:
-                    rhs = rhs + comb(n, k) * classical_bernoulli(k) * euler_poly(n - k)
-            yield f"n={n}", lhs, rhs
+            yield f"n={n}", lhs, binomial_convolution(bernoulli[: n + 1], euler[: n + 1])
 
     return [
         check("C1", "classical Bernoulli polynomials expand over Euler polynomials",

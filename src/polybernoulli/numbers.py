@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
-from .exact import MultiPoly, X
+from .exact import MultiPoly, X, binomial_convolution, powers
 
 __all__ = [
     "PolyBernoulliCache",
@@ -118,9 +118,7 @@ def stirling2_explicit(n: int, m: int) -> int:
     """
     if n < 0 or m < 0:
         raise ValueError("Stirling indices must be non-negative")
-    acc = 0
-    for l in range(m + 1):
-        acc += (-1) ** l * comb(m, l) * l**n
+    acc = binomial_convolution([(-1) ** l * l**n for l in range(m + 1)], [1] * (m + 1))
     value = Fraction((-1) ** m * acc, factorial(m))
     if value.denominator != 1:
         raise ArithmeticError("alternating sum did not produce an integer")
@@ -160,10 +158,8 @@ def poly_bernoulli_poly(n: int, k: int) -> MultiPoly:
     if n < 0:
         raise ValueError("the lower index must be non-negative")
     DEFAULT_CACHE._check_cap(n=n)
-    acc = MultiPoly.constant(0)
-    for j in range(n + 1):
-        acc = acc + comb(n, j) * DEFAULT_CACHE.poly_bernoulli(j, k) * X ** (n - j)
-    return acc
+    numbers = [DEFAULT_CACHE.poly_bernoulli(j, k) for j in range(n + 1)]
+    return binomial_convolution(numbers, powers(X, n))
 
 
 def classical_bernoulli(n: int) -> Fraction:

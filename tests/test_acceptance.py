@@ -150,7 +150,22 @@ def test_criterion_11_classical_bernoulli_expansion():
     _criterion(11, "classical Bernoulli polynomials expand over Euler polynomials", ok)
 
 
-def test_criterion_12_cli_contract(capsys):
+# The 26 reports of `verify --suite all`: (identity id, cases compared).
+ALL_SUITE_CASES = [
+    ("T1.11", 231), ("T1.12", 77), ("T1.13", 231),
+    ("T1.14", 77), ("T1.15", 77), ("T1.16", 77),
+    ("T2.17", 189), ("T2.17", 189), ("T2.17", 63),
+    ("T3.18", 77), ("T3.19", 77),
+    ("T4.20", 539), ("T4.21", 189),
+    ("T5", 27), ("T5", 27), ("T5", 27),
+    ("C1", 11),
+    ("E1", 11), ("E2", 11), ("E3", 11),
+    ("ORACLE", 91), ("ORACLE", 169), ("ORACLE", 169), ("ORACLE", 169),
+    ("ORACLE", 5), ("ORACLE", 273),
+]
+
+
+def test_criterion_12_cli_contract(capsys, monkeypatch, shared_run_suite):
     goldens = [
         (["number", "-n", "2", "-k", "2"], "-1/36\n"),
         (["number", "-n", "0", "-k", "-7"], "1\n"),
@@ -175,12 +190,26 @@ def test_criterion_12_cli_contract(capsys):
         out = capsys.readouterr().out
         if code != 0 or out != expected:
             ok = False
+    # One full run serves both the transcript and the per-report case counts.
+    recorded = []
+    run_suite = cli.run_suite
+
+    def recording_run_suite(*args, **kwargs):
+        recorded.extend(run_suite(*args, **kwargs))
+        return recorded
+
+    monkeypatch.setattr(cli, "run_suite", recording_run_suite)
     code = cli.main(["verify", "--suite", "all"])
     transcript = capsys.readouterr().out
     golden = json.loads(REFERENCES.read_text())["verify_transcript"]
     ok = ok and code == 0 and transcript == golden
+    cases = [(r.identity_id, r.cases) for r in recorded]
+    ok = ok and cases == ALL_SUITE_CASES and sum(n for _, n in cases) == 3094
     with capsys.disabled():
         print()
         _criterion(
-            12, "command-line contract: golden outputs and the pinned full verify transcript", ok
+            12,
+            "command-line contract: golden outputs, the pinned full verify transcript"
+            " and its per-report case counts",
+            ok,
         )

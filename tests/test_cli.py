@@ -86,6 +86,9 @@ def test_verify_degenerate_range_still_passes(capsys):
     code, out = run(capsys, "verify", "--suite", "T4", "--nmax", "0")
     assert code == 0
     assert "2/2 identity checks passed" in out
+    code, out = run(capsys, "verify", "--suite", "oracle", "--n-max", "0")
+    assert code == 0
+    assert out.count(" k=0..0 ") == 3 and "-0" not in out
 
 
 def test_table_json_structure(capsys):
@@ -149,7 +152,7 @@ def test_verify_json_shape(capsys):
     assert all(r["elapsed_ms"] >= 0 for r in obj["reports"])
 
 
-def test_verify_all_pins_every_grid(capsys):
+def test_verify_all_pins_every_grid(capsys, shared_run_suite):
     code, out = run(capsys, "verify", "--suite", "all", "--format", "json")
     assert code == 0
     cases = [(r["id"], r["cases"]) for r in json.loads(out)["reports"]]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,16 @@ from polybernoulli.exact import (
     MultiPoly,
     X,
     as_poly,
+    binomial_convolution,
     format_poly,
     format_rational,
     homogeneous_substitute,
     parse_poly,
     parse_rational,
     poly_eval,
+    powers,
 )
+from polybernoulli.series import PowerSeries
 
 F = Fraction
 
@@ -141,6 +145,10 @@ def test_substitute_plain():
     assert p.substitute({"X": X + 1}) == X**2 + 2 * X + 1 + LB
     shifted = (X * LC).substitute({"X": X + 1})
     assert shifted == X * LC + LC
+    # bindings apply simultaneously, so two indeterminates can swap
+    assert (X**2 * LA).substitute({"X": LA, "La": X}) == LA**2 * X
+    with pytest.raises(TypeError):
+        LB.substitute({"X": "2"})
 
 
 def test_substitute_identity_is_noop():
@@ -168,6 +176,54 @@ def test_homogeneous_substitute_clears_denominators():
     p = X**2 + X + 1
     u, v = LA, LA + LB
     assert homogeneous_substitute(p, u, v) == u**2 + u * v + v**2
+
+
+def test_powers_lists_every_power_from_one():
+    assert powers(X + 1, 0) == [1]
+    assert powers(X + 1, 1) == [1, X + 1]
+    assert powers(X + 1, 3) == [1, X + 1, X**2 + 2 * X + 1, X**3 + 3 * X**2 + 3 * X + 1]
+    assert powers(F(-1, 2), 2) == [1, F(-1, 2), F(1, 4)]
+    assert all(isinstance(q, MultiPoly) for q in powers(2, 2))
+    for bad in (-1, F(1, 2)):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            powers(X, bad)
+    with pytest.raises(TypeError):
+        powers("X", 2)
+
+
+def test_binomial_convolution_examples():
+    # (X + LB)^3 is the convolution of the powers of X with the powers of LB
+    assert binomial_convolution(powers(X, 3), powers(LB, 3)) == (X + LB) ** 3
+    assert binomial_convolution([1, 1, 1], [1, 1, 1]) == 4  # e^t * e^t = e^{2t}
+    assert binomial_convolution([F(1, 2)], [X]) == F(1, 2) * X
+    assert binomial_convolution([X, 0, 0], [0, 0, LC]) == X * LC
+
+
+@pytest.mark.parametrize("a, b", [([], []), ([1, 2], [1]), ([1], [1, 2]), ([X], [])])
+def test_binomial_convolution_rejects_empty_or_unequal_lengths(a, b):
+    with pytest.raises(ValueError, match="equal non-empty lengths"):
+        binomial_convolution(a, b)
+
+
+@given(st.lists(polys(), min_size=1, max_size=5), st.data())
+@settings(max_examples=30)
+def test_binomial_convolution_is_the_product_of_egfs(a, data):
+    # independent reference: n! [t^n] of (sum a_l t^l / l!) * (sum b_m t^m / m!)
+    b = data.draw(st.lists(polys(), min_size=len(a), max_size=len(a)))
+    n = len(a) - 1
+    egf_a = PowerSeries([F(1, factorial(l)) * c for l, c in enumerate(a)])
+    egf_b = PowerSeries([F(1, factorial(m)) * c for m, c in enumerate(b)])
+    assert binomial_convolution(a, b) == (egf_a * egf_b).coefficient(n) * factorial(n)
+
+
+@given(polys(), st.integers(0, 5))
+@settings(max_examples=30)
+def test_power_is_repeated_multiplication(p, e):
+    product = MultiPoly.constant(1)
+    for _ in range(e):
+        product = product * p
+    assert p**e == product
+    assert powers(p, e)[-1] == product
 
 
 @given(polys(), polys(), polys())

@@ -67,6 +67,16 @@ def test_gen_poly_degree_one():
     assert gen_pb_poly(0, -7) == MultiPoly.constant(1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [gen_pb_poly, gen_pb_poly_assembled, gen_pb_poly_double_sum, gen_pb_numbers,
+     gen_pb_numbers_by_sum],
+)
+def test_negative_lower_index_raises_on_every_route(build):
+    with pytest.raises(ValueError, match="^the lower index must be non-negative$"):
+        build(-1, 2)
+
+
 def test_gen_poly_at_zero_is_numbers():
     for k in (-2, 1, 3):
         for n in range(7):

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -22,6 +24,26 @@ def test_driver_reports_checks_and_cases(capsys):
     ]
     assert "3 checks    36 cases" in lines[4]  # T5: k = 1..3, y in 3 shifts, n = 0..3
     assert lines[-1].startswith("ok: 26 identity checks over 931 cases in ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--n-max 65", "n=65 exceeds the cache cap 64"),
+        ("--k-min 5 --k-max 3", "the k range is empty"),
+        ("--n-max -1", "n_max must be non-negative"),
+        ("--k-max 0", "T5 needs some k >= 1"),
+    ],
+)
+def test_verify_script_bad_grid_exits_two_before_any_suite(capsys, argv, message):
+    script = _load("verify_identities")
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert "error: " in last and message in last
 
 
 def test_lonesum_counts_agree_on_a_small_grid(capsys):
