@@ -6,6 +6,8 @@ A 0/1 matrix is lonesum when it is the only matrix with its row and column
 sums, equivalently when no 2x2 submatrix is a permutation pattern.  The
 number of lonesum n x k matrices must equal the value at (n, -k); this
 script enumerates all 2^(n*k) matrices per cell, so keep the ranges small.
+Exit status is 0 when every cell agrees, 1 on a mismatch, and 2 for a
+negative bound, which would compare no cells.
 """
 
 import argparse
@@ -34,6 +36,9 @@ def main(argv=None) -> int:
     parser.add_argument("--n-max", type=int, default=3, help="largest row count")
     parser.add_argument("--k-max", type=int, default=3, help="largest column count")
     args = parser.parse_args(argv)
+    for name in ("n_max", "k_max"):
+        if getattr(args, name) < 0:
+            parser.error(f"{name} must be non-negative")
 
     mismatches = 0
     print(f"{'n':>3} {'k':>3} {'brute force':>12} {'closed form':>12}")

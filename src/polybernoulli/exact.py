@@ -4,12 +4,15 @@ The scalar type is :class:`fractions.Fraction`, re-exported as ``Rational``.
 It already keeps every value in the canonical form the package relies on:
 reduced, positive denominator, zero stored as 0/1.
 
-``MultiPoly`` is a sparse polynomial over ``Rational`` in the four fixed
-indeterminates ``X``, ``La``, ``Lb``, ``Lc``.  ``La``, ``Lb``, ``Lc`` stand
-for the formal logarithms of three positive parameters a, b, c, kept symbolic
-so identities can be checked exactly; ``X`` is the polynomial argument.
-Terms live in a map from exponent vectors ``(eX, eLa, eLb, eLc)`` to nonzero
-coefficients, so equality is plain map equality and zero is the empty map.
+``MultiPoly`` is a sparse polynomial over ``Rational`` in the five fixed
+indeterminates ``X``, ``La``, ``Lb``, ``Lc``, ``Y``.  ``La``, ``Lb``, ``Lc``
+stand for the formal logarithms of three positive parameters a, b, c, kept
+symbolic so identities can be checked exactly; ``X`` is the polynomial
+argument, and ``Y`` a second argument, so identities in ``x + y`` hold as
+polynomial identities.
+Terms live in a map from exponent vectors ``(eX, eLa, eLb, eLc, eY)`` to
+nonzero coefficients, so equality is plain map equality and zero is the
+empty map.
 
 Every power and every binomial sum in the closed forms is built by one
 routine here: ``powers`` and ``binomial_convolution``.
@@ -33,6 +36,7 @@ __all__ = [
     "LA",
     "LB",
     "LC",
+    "Y",
     "as_poly",
     "poly_eval",
     "powers",
@@ -49,15 +53,15 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 PolyLike = Union["MultiPoly", int, Fraction]
 
-VARIABLES = ("X", "La", "Lb", "Lc")
+VARIABLES = ("X", "La", "Lb", "Lc", "Y")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
-_ZERO_EXPS = (0, 0, 0, 0)
+_ZERO_EXPS = (0,) * len(VARIABLES)
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
 class MultiPoly:
-    """Immutable sparse polynomial in X, La, Lb, Lc over Rational."""
+    """Immutable sparse polynomial in X, La, Lb, Lc, Y over Rational."""
 
     __slots__ = ("_terms",)
 
@@ -65,7 +69,7 @@ class MultiPoly:
         clean: dict[tuple, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)
-            if len(key) != 4 or any(not isinstance(e, int) or e < 0 for e in key):
+            if len(key) != len(VARIABLES) or any(not isinstance(e, int) or e < 0 for e in key):
                 raise ValueError(f"bad exponent vector: {exps!r}")
             c = Fraction(coeff)
             if c:
@@ -89,7 +93,7 @@ class MultiPoly:
         idx = _VAR_INDEX.get(name)
         if idx is None:
             raise ValueError(f"unknown indeterminate: {name}")
-        exps = tuple(1 if i == idx else 0 for i in range(4))
+        exps = tuple(1 if i == idx else 0 for i in range(len(VARIABLES)))
         return cls._from_clean({exps: _F1})
 
     # -- structure ---------------------------------------------------------
@@ -111,16 +115,10 @@ class MultiPoly:
             return self._terms[_ZERO_EXPS]
         raise ValueError("not a constant polynomial")
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(_ZERO_EXPS, _F0)
-
     def degree(self, name: str) -> int:
         """Largest exponent of ``name`` appearing in any term (0 for the zero poly)."""
         idx = _VAR_INDEX[name]
         return max((e[idx] for e in self._terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
 
     def coefficient(self, exps: tuple) -> Fraction:
         return self._terms.get(tuple(exps), _F0)
@@ -152,12 +150,7 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         out = dict(self._terms)
-        for exps, c in other._terms.items():
-            s = out.get(exps, _F0) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+        _accumulate(out, other._terms)
         return MultiPoly._from_clean(out)
 
     __radd__ = __add__
@@ -184,7 +177,9 @@ class MultiPoly:
         out: dict[tuple, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                key = (
+                    e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4]
+                )
                 s = out.get(key, _F0) + c1 * c2
                 if s:
                     out[key] = s
@@ -209,7 +204,7 @@ class MultiPoly:
 
     def __hash__(self):
         if self.is_constant():
-            return hash(self.constant_term())
+            return hash(self._terms.get(_ZERO_EXPS, _F0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
@@ -220,22 +215,28 @@ class MultiPoly:
     def substitute(self, bindings: Mapping[str, PolyLike]) -> "MultiPoly":
         """Replace indeterminates by polynomials (or scalars).
 
-        Unbound indeterminates pass through untouched.  Binding values may be
-        ``MultiPoly``, ``int`` or ``Rational``.
+        Unbound indeterminates pass through untouched, and all bindings apply
+        at once.  Binding values may be ``MultiPoly``, ``int`` or ``Rational``.
+        Terms are grouped by their exponents of the bound names, so each
+        product of powers multiplies one group, and every product is summed
+        into one map.
         """
         for name in bindings:
             if name not in _VAR_INDEX:
                 raise ValueError(f"unknown indeterminate: {name}")
         bound = {_VAR_INDEX[name]: powers(v, self.degree(name)) for name, v in bindings.items()}
-        total = MultiPoly.constant(0)
+        groups: dict[tuple, dict[tuple, Fraction]] = {}
         for exps, coeff in self._terms.items():
             residual = tuple(0 if i in bound else e for i, e in enumerate(exps))
-            term = MultiPoly._from_clean({residual: coeff})
-            for idx, pows in bound.items():
-                if exps[idx]:
-                    term = term * pows[exps[idx]]
-            total = total + term
-        return total
+            groups.setdefault(tuple(exps[i] for i in bound), {})[residual] = coeff
+        out: dict[tuple, Fraction] = {}
+        for key, residual_terms in groups.items():
+            group = MultiPoly._from_clean(residual_terms)
+            for pows, e in zip(bound.values(), key):
+                if e:
+                    group = group * pows[e]
+            _accumulate(out, group._terms)
+        return MultiPoly._from_clean(out)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at an all-rational point.
@@ -262,10 +263,21 @@ class MultiPoly:
         return format_poly(self)
 
 
+def _accumulate(out: dict[tuple, Fraction], terms: Mapping[tuple, Fraction]) -> None:
+    """Add ``terms`` into the term map ``out`` in place, dropping zero sums."""
+    for exps, c in terms.items():
+        s = out.get(exps, _F0) + c
+        if s:
+            out[exps] = s
+        else:
+            out.pop(exps, None)
+
+
 X = MultiPoly.variable("X")
 LA = MultiPoly.variable("La")
 LB = MultiPoly.variable("Lb")
 LC = MultiPoly.variable("Lc")
+Y = MultiPoly.variable("Y")
 
 
 def as_poly(value: PolyLike) -> MultiPoly:
@@ -325,7 +337,7 @@ def homogeneous_substitute(p: MultiPoly, numerator: PolyLike, complement: PolyLi
 # -- text round-trip -------------------------------------------------------
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
-_FACTOR_RE = re.compile(r"^(X|La|Lb|Lc)(?:\^([1-9]\d*))?$")
+_FACTOR_RE = re.compile(rf"^({'|'.join(VARIABLES)})(?:\^([1-9]\d*))?$")
 
 CANONICAL_NAMES = {name: name for name in VARIABLES}
 
@@ -354,7 +366,7 @@ def format_poly(
     """Render a polynomial as a sorted sum of terms.
 
     Terms are ordered by total degree, then lexicographically on the exponent
-    vector (X before La before Lb before Lc), highest first, so the output is
+    vector (in ``VARIABLES`` order), highest first, so the output is
     canonical.  ``names`` and ``var_order`` only affect how each term is
     spelled, not the term order.
     """
@@ -386,7 +398,7 @@ def format_poly(
 
 
 def parse_poly(text: str) -> MultiPoly:
-    """Parse the canonical `format_poly` output (X/La/Lb/Lc names) back."""
+    """Parse the canonical `format_poly` output (``VARIABLES`` names) back."""
     t = text.strip()
     if not t:
         raise ValueError("empty polynomial text")
@@ -401,7 +413,7 @@ def parse_poly(text: str) -> MultiPoly:
         if chunk.startswith("-"):
             sign, chunk = -1, chunk[1:]
         coeff = _F1
-        exps = [0, 0, 0, 0]
+        exps = [0] * len(VARIABLES)
         saw_factor = False
         for factor in chunk.split("*"):
             m = _FACTOR_RE.match(factor)

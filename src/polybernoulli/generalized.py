@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .euler import _shift_x, euler_poly, gen_euler_poly
 from .exact import (
@@ -41,6 +41,7 @@ from .exact import (
     LC,
     MultiPoly,
     X,
+    Y,
     as_poly,
     binomial_convolution,
     format_rational,
@@ -262,38 +263,12 @@ def verify_theorem1(n_max: int, k_set) -> list[IdentityReport]:
     ]
 
 
-def _two_variable_forms(n: int, k: int):
-    """The three expansions of B_n at a sum of two arguments, as maps from
-    the power of the auxiliary second argument to coefficient polynomials."""
-    lhs: dict[int, MultiPoly] = {}
-    for d, q in gen_pb_poly(n, k).split_by("X").items():
-        for i in range(d + 1):
-            key = d - i
-            term = comb(d, i) * q * X**i
-            lhs[key] = lhs.get(key, MultiPoly.constant(0)) + term
-
-    rhs_first = {
-        n - l: comb(n, l) * LC ** (n - l) * gen_pb_poly(l, k) for l in range(n + 1)
-    }
-
-    rhs_swapped: dict[int, MultiPoly] = {}
-    for l in range(n + 1):
-        scale = comb(n, l) * LC ** (n - l) * X ** (n - l)
-        for d, q in gen_pb_poly(l, k).split_by("X").items():
-            rhs_swapped[d] = rhs_swapped.get(d, MultiPoly.constant(0)) + scale * q
-
-    def clean(m):
-        return {p: v for p, v in m.items() if not v.is_zero()}
-
-    return clean(lhs), clean(rhs_first), clean(rhs_swapped)
-
-
 def verify_theorem2(n_max: int, k_set) -> list[IdentityReport]:
     """Addition formula: expanding at x + y matches the binomial convolution.
 
     Checked at rational shifts y, with the roles of x and y swapped, and once
-    more fully symbolically with the second argument kept as a formal power
-    index, so no specialization is involved at all.
+    more fully symbolically at y = Y, where both convolutions must equal
+    ``B_n(X + Y)``, so no specialization is involved at all.
     """
     ks = sorted(k_set)
     n_range = f"0..{n_max}"
@@ -307,21 +282,26 @@ def verify_theorem2(n_max: int, k_set) -> list[IdentityReport]:
         values_at_y = [gen_pb_poly(l, k).substitute({"X": y0}) for l in range(n_max + 1)]
         return values_at_y, powers(LC * X, n_max)
 
+    def convolution(factors, n):
+        a, b = factors
+        return binomial_convolution(a[: n + 1], b[: n + 1])
+
     def shift_cases(factors, suffix=""):
         """``B_n(x + y)`` against the convolution of ``factors(k, y)`` cut at n."""
         for k in ks:
             by_y = {y0: factors(k, y0) for y0 in _Y_VALUES}
             for n in range(n_max + 1):
-                for y0, (a, b) in by_y.items():
+                for y0, pair in by_y.items():
                     lhs = _shift_x(gen_pb_poly(n, k), y0)
-                    rhs = binomial_convolution(a[: n + 1], b[: n + 1])
-                    yield f"n={n} k={k} y={y0}{suffix}", lhs, rhs
+                    yield f"n={n} k={k} y={y0}{suffix}", lhs, convolution(pair, n)
 
     def symbolic_cases():
         for k in ks:
+            first, swapped = at_y(k, Y), at_y_swapped(k, Y)
             for n in range(n_max + 1):
-                lhs, first, swapped = _two_variable_forms(n, k)
-                yield f"n={n} k={k} (symbolic forms)", (lhs, lhs), (first, swapped)
+                lhs = _shift_x(gen_pb_poly(n, k), Y)
+                rhs = convolution(first, n), convolution(swapped, n)
+                yield f"n={n} k={k} (symbolic forms)", (lhs, lhs), rhs
 
     return [
         check("T2.17", f"expansion around rational shifts y in {{{y_text}}}", n_range, k_range,
@@ -393,8 +373,9 @@ def verify_theorem5(n_max: int, k1_set) -> list[IdentityReport]:
 
     ``B_n(x + y)`` must equal half the binomial convolution of
     ``B_k(y) + B_k(y + 1)`` against the matching Euler polynomials, all
-    specialized to a = 1, c = b and symbolic in x and ln b.  One report per
-    k1; an empty ``k1_set`` raises, since it would check nothing.
+    specialized to a = 1, c = b and symbolic in x, y = Y and ln b, so each
+    case proves the identity for every y.  One report per k1; an empty
+    ``k1_set`` raises, since it would check nothing.
     """
     k1s = sorted(k1_set)
     if not k1s:
@@ -404,11 +385,10 @@ def verify_theorem5(n_max: int, k1_set) -> list[IdentityReport]:
 
     def cases(k1):
         b_1bb = [gen_pb_poly(m, k1).substitute(to_1bb) for m in range(n_max + 1)]
-        for y0 in _Y_VALUES:
-            paired = [b.substitute({"X": y0}) + b.substitute({"X": y0 + 1}) for b in b_1bb]
-            for n in range(n_max + 1):
-                rhs = binomial_convolution(paired[: n + 1], euler_1bb[: n + 1])
-                yield f"n={n} k1={k1} y={y0}", _shift_x(b_1bb[n], y0), rhs * _F1_2
+        paired = [b.substitute({"X": Y}) + b.substitute({"X": Y + 1}) for b in b_1bb]
+        for n in range(n_max + 1):
+            rhs = binomial_convolution(paired[: n + 1], euler_1bb[: n + 1])
+            yield f"n={n} k1={k1}", _shift_x(b_1bb[n], Y), rhs * _F1_2
 
     return [
         check("T5", "expansion over Euler polynomials at (1, b, b) parameters",

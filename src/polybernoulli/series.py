@@ -71,14 +71,6 @@ class PowerSeries:
         return cls((value,) + (_F0,) * order)
 
     @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls.constant(_F0, order)
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls.constant(_F1, order)
-
-    @classmethod
     def identity(cls, order: int) -> "PowerSeries":
         """The series ``t`` truncated at ``order`` (which must be >= 1)."""
         _check_order(order)

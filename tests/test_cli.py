@@ -162,13 +162,13 @@ def test_verify_all_pins_every_grid(capsys, shared_run_suite):
         ("T2.17", 189), ("T2.17", 189), ("T2.17", 63),
         ("T3.18", 77), ("T3.19", 77),
         ("T4.20", 539), ("T4.21", 189),
-        ("T5", 27), ("T5", 27), ("T5", 27),
+        ("T5", 9), ("T5", 9), ("T5", 9),
         ("C1", 11),
         ("E1", 11), ("E2", 11), ("E3", 11),
         ("ORACLE", 91), ("ORACLE", 169), ("ORACLE", 169), ("ORACLE", 169),
         ("ORACLE", 5), ("ORACLE", 273),
     ]
-    assert sum(n for _, n in cases) == 3094
+    assert sum(n for _, n in cases) == 3040
 
 
 def test_verify_failure_sets_exit_one(capsys, monkeypatch):

@@ -20,7 +20,7 @@ def test_classical_degree_and_leading_coefficient():
     for n in range(9):
         p = euler_poly(n)
         assert p.degree("X") == n
-        assert p.coefficient((n, 0, 0, 0)) == 1
+        assert p.coefficient((n, 0, 0, 0, 0)) == 1
 
 
 def test_rejects_negative_index():

@@ -11,6 +11,7 @@ from polybernoulli.exact import (
     LC,
     MultiPoly,
     X,
+    Y,
     as_poly,
     binomial_convolution,
     format_poly,
@@ -29,9 +30,7 @@ rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=8
 )
 
-exponents = st.tuples(
-    st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)
-)
+exponents = st.tuples(*[st.integers(0, 2)] * 5)
 
 
 @st.composite
@@ -41,7 +40,7 @@ def polys(draw):
 
 
 points = st.fixed_dictionaries(
-    {name: rationals for name in ("X", "La", "Lb", "Lc")}
+    {name: rationals for name in ("X", "La", "Lb", "Lc", "Y")}
 )
 
 
@@ -118,7 +117,9 @@ def test_poly_rejects_bad_exponents():
     with pytest.raises(ValueError):
         MultiPoly({(1, 2): 1})
     with pytest.raises(ValueError):
-        MultiPoly({(1, 0, 0, -1): 1})
+        MultiPoly({(1, 0, 0, 0, -1): 1})
+    with pytest.raises(ValueError):
+        MultiPoly({(1, 0, 0, 0): 1})
 
 
 def test_degree_helpers():
@@ -126,8 +127,7 @@ def test_degree_helpers():
     assert p.degree("X") == 2
     assert p.degree("Lc") == 5
     assert p.degree("Lb") == 0
-    assert p.total_degree() == 5
-    assert MultiPoly.constant(0).total_degree() == 0
+    assert (p * Y**3).degree("Y") == 3
 
 
 def test_split_by_reassembles():
@@ -147,19 +147,21 @@ def test_substitute_plain():
     assert shifted == X * LC + LC
     # bindings apply simultaneously, so two indeterminates can swap
     assert (X**2 * LA).substitute({"X": LA, "La": X}) == LA**2 * X
+    assert (X * Y**2 + X).substitute({"X": Y, "Y": X}) == Y * X**2 + Y
+    assert (X**2).substitute({"X": X + Y}) == X**2 + 2 * X * Y + Y**2
     with pytest.raises(TypeError):
         LB.substitute({"X": "2"})
 
 
 def test_substitute_identity_is_noop():
     p = X**2 * LA - LB * LC + 7
-    same = p.substitute({"X": X, "La": LA, "Lb": LB, "Lc": LC})
+    same = p.substitute({"X": X, "La": LA, "Lb": LB, "Lc": LC, "Y": Y})
     assert same == p
 
 
 def test_substitute_unknown_name():
     with pytest.raises(ValueError):
-        X.substitute({"Y": 1})
+        X.substitute({"Z": 1})
 
 
 def test_eval_requires_occurring_bindings():
@@ -243,12 +245,14 @@ def test_eval_is_ring_homomorphism(p, q, pt):
     assert poly_eval(p * q, pt) == poly_eval(p, pt) * poly_eval(q, pt)
 
 
-@given(polys(), polys(), points)
+@given(polys(), polys(), polys(), points)
 @settings(max_examples=30)
-def test_substitute_then_eval_matches(p, q, pt):
-    # replacing X by q then evaluating equals evaluating with X bound to q(pt)
-    composed = p.substitute({"X": q})
-    inner_pt = dict(pt) | {"X": poly_eval(q, pt)}
+def test_substitute_then_eval_matches(p, q, r, pt):
+    # replacing X by q then evaluating equals evaluating with X bound to q(pt);
+    # binding Y to r as well checks that both bindings apply at once
+    assert poly_eval(p.substitute({"X": q}), pt) == poly_eval(p, pt | {"X": poly_eval(q, pt)})
+    composed = p.substitute({"X": q, "Y": r})
+    inner_pt = pt | {"X": poly_eval(q, pt), "Y": poly_eval(r, pt)}
     assert poly_eval(composed, pt) == poly_eval(p, inner_pt)
 
 
@@ -261,6 +265,7 @@ def test_format_poly_examples():
     assert format_poly(X * LC + F(1, 4) * LA - F(3, 4) * LB) == "X*Lc + 1/4*La - 3/4*Lb"
     assert format_poly(-X**2 + 1) == "-X^2 + 1"
     assert format_poly(X * X * LA) == "X^2*La"
+    assert format_poly(X * Y + LC * Y**2 - Y) == "Lc*Y^2 + X*Y - Y"
 
 
 def test_format_poly_display_name_variant():
@@ -285,6 +290,7 @@ def test_parse_poly_examples():
     assert parse_poly("-X^2 + 1") == 1 - X**2
     assert parse_poly("Lc*X + 1/4*La - 3/4*Lb") == X * LC + F(1, 4) * LA - F(3, 4) * LB
     assert parse_poly("3/2") == F(3, 2)
+    assert parse_poly("Lc*Y^2 + X*Y - Y") == X * Y + LC * Y**2 - Y
 
 
 def test_parse_poly_rejects_junk():

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from polybernoulli import generalized
 from polybernoulli.exact import LA, LB, LC, MultiPoly, X, poly_eval
 from polybernoulli.generalized import (
     gen_pb_numbers,
@@ -198,6 +199,25 @@ def test_theorem5_suite_passes():
     reports = verify_theorem5(n_max=5, k1_set=(1, 2))
     assert [r.identity_id for r in reports] == ["T5", "T5"]
     assert all(r.passed for r in reports), [r.format_line() for r in reports]
+
+
+def test_theorem5_checks_one_case_per_n_for_every_y():
+    reports = verify_theorem5(n_max=3, k1_set=(1, 2))
+    assert [r.cases for r in reports] == [4, 4]
+
+
+def test_planted_defect_zero_at_the_old_y_values_is_caught(monkeypatch):
+    # d*(2d - 1)*(3d + 1) vanishes at y = 0, 1/2 and -1/3, so only a check
+    # symbolic in y sees it
+    shift_x = generalized._shift_x
+
+    def planted(p, delta):
+        return shift_x(p, delta) + delta * (2 * delta - 1) * (3 * delta + 1)
+
+    monkeypatch.setattr(generalized, "_shift_x", planted)
+    assert [r.status for r in verify_theorem5(n_max=3, k1_set=(1, 2))] == ["FAIL", "FAIL"]
+    rational, swapped, symbolic = verify_theorem2(n_max=3, k_set=(1,))
+    assert (rational.status, swapped.status, symbolic.status) == ("pass", "pass", "FAIL")
 
 
 def test_corollary1_suite_passes():

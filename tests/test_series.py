@@ -68,7 +68,7 @@ def test_constructor_rejects_empty_and_bad_order():
     with pytest.raises(ValueError):
         PowerSeries([])
     with pytest.raises(ValueError):
-        PowerSeries.zero(-1)
+        PowerSeries.constant(0, -1)
     with pytest.raises(ValueError):
         PowerSeries.identity(0)
 
@@ -76,14 +76,14 @@ def test_constructor_rejects_empty_and_bad_order():
 def test_valuation():
     assert series_of(0, 0, 5).valuation() == 2
     assert series_of(1, 2).valuation() == 0
-    assert PowerSeries.zero(3).valuation() == 4
+    assert PowerSeries.constant(0, 3).valuation() == 4
 
 
 # -- division --------------------------------------------------------------
 
 
 def test_div_simple_geometric():
-    one = PowerSeries.one(4)
+    one = PowerSeries.constant(1, 4)
     den = series_of(1, -1, 0, 0, 0)
     assert ps_div(one, den).coeffs == (F(1),) * 5
 
@@ -118,7 +118,7 @@ def test_div_leading_coefficient_not_a_unit():
 
 def test_div_by_zero_series():
     with pytest.raises(ValueError, match="zero series"):
-        ps_div(series_of(1, 2), PowerSeries.zero(1))
+        ps_div(series_of(1, 2), PowerSeries.constant(0, 1))
 
 
 @given(rational_series(), unit_series())
@@ -146,13 +146,13 @@ def test_compose_rejects_nonzero_constant():
 
 def test_compose_with_zero_inner():
     outer = series_of(7, 3, 2)
-    assert ps_compose(outer, PowerSeries.zero(2)).coeffs == (F(7), F(0), F(0))
+    assert ps_compose(outer, PowerSeries.constant(0, 2)).coeffs == (F(7), F(0), F(0))
 
 
 def inner_powers(inner, n):
     """inner^0, ..., inner^n, each truncated to order n."""
     inner = inner.truncate(n)
-    powers = [PowerSeries.one(n)]
+    powers = [PowerSeries.constant(1, n)]
     for _ in range(n):
         powers.append(powers[-1] * inner)
     return powers
@@ -160,7 +160,7 @@ def inner_powers(inner, n):
 
 def power_sum_reference(outer, powers):
     """sum_j outer_j * inner^j over the given powers: the composition by definition."""
-    expected = PowerSeries.zero(powers[0].order)
+    expected = PowerSeries.constant(0, powers[0].order)
     for c, power in zip(outer.coeffs, powers):
         expected = expected + c * power
     return expected
@@ -227,7 +227,7 @@ def test_exp_functional_equation():
     lhs = ps_exp_linear(a, n) * ps_exp_linear(b, n)
     assert lhs == ps_exp_linear(a + b, n)
     # e^t * e^{-t} = 1
-    assert (ps_exp_linear(F(1), n) * ps_exp_linear(F(-1), n)) == PowerSeries.one(n)
+    assert (ps_exp_linear(F(1), n) * ps_exp_linear(F(-1), n)) == PowerSeries.constant(1, n)
 
 
 def test_diff_integrate():
@@ -301,7 +301,7 @@ def test_iterated_integral_rejects_small_k():
 
 def test_format_series():
     assert format_series(gf_poly_bernoulli(1, 2)) == "1 + 1/2*t + 1/12*t^2 + O(t^3)"
-    assert format_series(PowerSeries.zero(2)) == "0 + O(t^3)"
+    assert format_series(PowerSeries.constant(0, 2)) == "0 + O(t^3)"
     assert format_series(series_of(1, -1, 0, F(1, 3))) == "1 - t + 1/3*t^3 + O(t^4)"
     with_poly = PowerSeries([MultiPoly.constant(1), LA + LB])
     assert format_series(with_poly) == "1 + (La + Lb)*t + O(t^2)"
