@@ -33,12 +33,11 @@ from .reports import all_passed
 from .series import format_series, gen_pb_numbers_series
 from .verification import SUITE_NAMES, run_suite
 
-DISPLAY_NAMES = {"X": "x", "La": "ln(a)", "Lb": "ln(b)", "Lc": "ln(c)"}
-DISPLAY_ORDER = ("La", "Lb", "Lc", "X")
+DISPLAY_NAMES = {"La": "ln(a)", "Lb": "ln(b)", "Lc": "ln(c)", "X": "x"}
 
 
 def render(p: MultiPoly) -> str:
-    return format_poly(p, names=DISPLAY_NAMES, var_order=DISPLAY_ORDER)
+    return format_poly(p, names=DISPLAY_NAMES)
 
 
 def _emit_json(obj) -> None:

@@ -123,17 +123,21 @@ class MultiPoly:
     def coefficient(self, exps: tuple) -> Fraction:
         return self._terms.get(tuple(exps), _F0)
 
-    def split_by(self, name: str) -> dict[int, "MultiPoly"]:
-        """Decompose as a polynomial in ``name``: power -> coefficient poly.
-
-        The returned coefficient polynomials do not involve ``name``.
-        """
+    def diff(self, name: str) -> "MultiPoly":
+        """The derivative in ``name``: each term's exponent drops by one."""
         idx = _VAR_INDEX[name]
-        buckets: dict[int, dict[tuple, Fraction]] = {}
-        for exps, c in self._terms.items():
-            stripped = tuple(0 if i == idx else e for i, e in enumerate(exps))
-            buckets.setdefault(exps[idx], {})[stripped] = c
-        return {d: MultiPoly._from_clean(t) for d, t in buckets.items()}
+        return MultiPoly._from_clean({
+            exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]: exps[idx] * c
+            for exps, c in self._terms.items() if exps[idx]
+        })
+
+    def integrate(self, name: str) -> "MultiPoly":
+        """The antiderivative in ``name`` that vanishes at ``name = 0``."""
+        idx = _VAR_INDEX[name]
+        return MultiPoly._from_clean({
+            exps[:idx] + (exps[idx] + 1,) + exps[idx + 1:]: c / (exps[idx] + 1)
+            for exps, c in self._terms.items()
+        })
 
     # -- ring operations ---------------------------------------------------
 
@@ -322,16 +326,17 @@ def homogeneous_substitute(p: MultiPoly, numerator: PolyLike, complement: PolyLi
 
     With ``n`` the degree of ``p`` in ``X``, replace ``X`` by
     ``numerator / complement`` and multiply through by ``complement ** n``:
-    each piece ``q_d * X^d`` becomes ``q_d * numerator^d * complement^(n - d)``.
-    No rational-function arithmetic is involved at any point.
+    each term ``m * X^d``, with ``m`` free of ``X``, becomes
+    ``m * numerator^d * complement^(n - d)``, summed into one map.  No
+    rational-function arithmetic is involved at any point.
     """
-    parts = p.split_by("X")
-    degree = max(parts, default=0)
+    degree = p.degree("X")
     num_pows, comp_pows = powers(numerator, degree), powers(complement, degree)
-    acc = MultiPoly.constant(0)
-    for d, q in parts.items():
-        acc = acc + q * num_pows[d] * comp_pows[degree - d]
-    return acc
+    out: dict[tuple, Fraction] = {}
+    for exps, c in p.items():
+        rest = MultiPoly._from_clean({(0,) + exps[1:]: c})
+        _accumulate(out, (rest * num_pows[exps[0]] * comp_pows[degree - exps[0]])._terms)
+    return MultiPoly._from_clean(out)
 
 
 # -- text round-trip -------------------------------------------------------
@@ -358,31 +363,33 @@ def _term_sort_key(exps):
     return (sum(exps), exps)
 
 
-def format_poly(
-    p: MultiPoly,
-    names: Mapping[str, str] | None = None,
-    var_order: tuple = VARIABLES,
-) -> str:
+def format_poly(p: MultiPoly, names: Mapping[str, str] | None = None) -> str:
     """Render a polynomial as a sorted sum of terms.
 
     Terms are ordered by total degree, then lexicographically on the exponent
     vector (in ``VARIABLES`` order), highest first, so the output is
-    canonical.  ``names`` and ``var_order`` only affect how each term is
-    spelled, not the term order.
+    canonical.  ``names`` maps each indeterminate to its spelling, and its
+    key order is the order of the factors within a term; neither changes the
+    term order.  An indeterminate that occurs in ``p`` but has no name raises
+    ValueError naming it.
     """
     names = CANONICAL_NAMES if names is None else names
+    for idx, var in enumerate(VARIABLES):
+        if var not in names and any(exps[idx] for exps in p._terms):
+            raise ValueError(f"no name for indeterminate: {var}")
     if p.is_zero():
         return "0"
+    spelled = [(_VAR_INDEX[var], name) for var, name in names.items()]
     parts = []
     for exps in sorted(p._terms, key=_term_sort_key, reverse=True):
         coeff = p._terms[exps]
         factors = []
-        for var in var_order:
-            e = exps[_VAR_INDEX[var]]
+        for idx, name in spelled:
+            e = exps[idx]
             if e == 1:
-                factors.append(names[var])
+                factors.append(name)
             elif e > 1:
-                factors.append(f"{names[var]}^{e}")
+                factors.append(f"{name}^{e}")
         mag = abs(coeff)
         if not factors:
             body = str(mag)

@@ -40,6 +40,7 @@ from .exact import (
     LB,
     LC,
     MultiPoly,
+    PolyLike,
     X,
     Y,
     as_poly,
@@ -155,25 +156,21 @@ def pb_derivative(n: int, k: int, l: int) -> MultiPoly:
     """
     if l < 0:
         raise ValueError("the derivative count must be non-negative")
-    acc = MultiPoly.constant(0)
-    for d, q in gen_pb_poly(n, k).split_by("X").items():
-        if d >= l:
-            weight = factorial(d) // factorial(d - l)
-            acc = acc + weight * q * X ** (d - l)
-    return acc
+    p = gen_pb_poly(n, k)
+    for _ in range(l):
+        p = p.diff("X")
+    return p
 
 
-def pb_definite_integral(n: int, k: int, alpha, beta) -> MultiPoly:
+def pb_definite_integral(n: int, k: int, alpha: PolyLike, beta: PolyLike) -> MultiPoly:
     """The integral of the three-parameter polynomial in x from alpha to beta.
 
-    Computed from the termwise antiderivative, so the result is exactly a
-    polynomial in La, Lb, Lc; no division by ln c is ever needed.
+    Computed from the termwise antiderivative, so no division by ln c is ever
+    needed.  The bounds may be polynomials: ``alpha = Y, beta = X`` gives the
+    integral over every interval at once.
     """
-    a, b = Fraction(alpha), Fraction(beta)
-    anti = MultiPoly.constant(0)
-    for d, q in gen_pb_poly(n, k).split_by("X").items():
-        anti = anti + q * Fraction(1, d + 1) * X ** (d + 1)
-    return anti.substitute({"X": b}) - anti.substitute({"X": a})
+    anti = gen_pb_poly(n, k).integrate("X")
+    return anti.substitute({"X": beta}) - anti.substitute({"X": alpha})
 
 
 # -- helpers ---------------------------------------------------------------
@@ -313,7 +310,13 @@ def verify_theorem2(n_max: int, k_set) -> list[IdentityReport]:
 
 
 def verify_theorem3(n_max: int, k_set) -> list[IdentityReport]:
-    """The two expanded closed forms rebuild the production polynomial."""
+    """The two expanded closed forms rebuild the production polynomial.
+
+    Neither check is independent evidence: T3.18 is T1.16's comparison, and
+    T3.19 follows from T1.12 and T1.16, since it is the same
+    ``binomial_convolution`` over the alternating sums that T1.12 proves
+    equal to the values T1.16 convolves.  Both stay as the paper states them.
+    """
     ks = sorted(k_set)
     n_range = f"0..{n_max}"
     k_range = _k_range_text(ks)

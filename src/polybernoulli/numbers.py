@@ -32,7 +32,6 @@ __all__ = [
     "PolyBernoulliCache",
     "DEFAULT_CACHE",
     "stirling2",
-    "stirling2_explicit",
     "poly_bernoulli",
     "poly_bernoulli_negative",
     "poly_bernoulli_poly",
@@ -108,21 +107,6 @@ DEFAULT_CACHE = PolyBernoulliCache()
 
 def stirling2(n: int, m: int) -> int:
     return DEFAULT_CACHE.stirling2(n, m)
-
-
-def stirling2_explicit(n: int, m: int) -> int:
-    """Same number by the alternating binomial sum (a cross-check, not cached).
-
-    ``S(n, m) = (-1)^m / m! * sum_{l=0}^{m} (-1)^l C(m, l) l^n`` with the
-    ``0^0 = 1`` convention at l = n = 0.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("Stirling indices must be non-negative")
-    acc = binomial_convolution([(-1) ** l * l**n for l in range(m + 1)], [1] * (m + 1))
-    value = Fraction((-1) ** m * acc, factorial(m))
-    if value.denominator != 1:
-        raise ArithmeticError("alternating sum did not produce an integer")
-    return value.numerator
 
 
 def poly_bernoulli(n: int, k: int) -> Fraction:

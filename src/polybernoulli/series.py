@@ -100,13 +100,6 @@ class PowerSeries:
                 return i
         return self.order + 1
 
-    def truncate(self, order: int) -> "PowerSeries":
-        """Drop knowledge beyond ``order``; never extends."""
-        _check_order(order)
-        if order >= self.order:
-            return self
-        return PowerSeries(self._coeffs[: order + 1])
-
     def __eq__(self, other):
         if isinstance(other, PowerSeries):
             return self._coeffs == other._coeffs

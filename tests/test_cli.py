@@ -7,6 +7,7 @@ import json
 import pytest
 
 import polybernoulli.cli as cli
+from polybernoulli.exact import LA, LC, X, Y
 from polybernoulli.reports import IdentityReport
 
 
@@ -46,6 +47,13 @@ def test_number_generalized_renders_parameters(capsys):
     code, out = run(capsys, "number", "-n", "1", "-k", "1", "--generalized")
     assert code == 0
     assert out == "1/2*ln(a) - 1/2*ln(b)\n"
+
+
+def test_render_never_drops_an_indeterminate():
+    # the CLI spells La, Lb, Lc and X; a polynomial in Y must not lose its factors
+    assert cli.render(X * LC + LA) == "ln(c)*x + ln(a)"
+    with pytest.raises(ValueError, match="^no name for indeterminate: Y$"):
+        cli.render(X * Y + Y)
 
 
 def test_json_output_round_trips(capsys):

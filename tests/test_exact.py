@@ -9,6 +9,7 @@ from polybernoulli.exact import (
     LA,
     LB,
     LC,
+    VARIABLES,
     MultiPoly,
     X,
     Y,
@@ -130,13 +131,23 @@ def test_degree_helpers():
     assert (p * Y**3).degree("Y") == 3
 
 
-def test_split_by_reassembles():
-    p = X**2 * LA + 3 * X - LB + F(1, 2)
-    parts = p.split_by("X")
-    assert set(parts) == {0, 1, 2}
-    reassembled = sum((q * X**d for d, q in parts.items()), MultiPoly.constant(0))
-    assert reassembled == p
-    assert all(q.degree("X") == 0 for q in parts.values())
+def test_diff_and_integrate_examples():
+    p = X**3 * LA + 2 * X * LC - 5
+    assert p.diff("X") == 3 * X**2 * LA + 2 * LC
+    assert p.diff("La") == X**3
+    assert p.diff("Y").is_zero()
+    assert p.integrate("X") == F(1, 4) * X**4 * LA + X**2 * LC - 5 * X
+    assert MultiPoly.constant(0).integrate("Lb").is_zero()
+    assert MultiPoly.constant(3).integrate("Y") == 3 * Y
+
+
+@pytest.mark.parametrize("name", VARIABLES)
+@given(polys(), polys())
+@settings(max_examples=25)
+def test_integrate_then_diff_is_identity_and_diff_obeys_leibniz(name, p, q):
+    assert p.integrate(name).diff(name) == p
+    assert p.integrate(name).substitute({name: 0}).is_zero()
+    assert (p * q).diff(name) == p.diff(name) * q + p * q.diff(name)
 
 
 def test_substitute_plain():
@@ -271,12 +282,15 @@ def test_format_poly_examples():
 def test_format_poly_display_name_variant():
     # alternate spellings and factor order change rendering, not term order
     p = X * LC + F(1, 4) * LA - F(3, 4) * LB
-    pretty = format_poly(
-        p,
-        names={"X": "x", "La": "ln(a)", "Lb": "ln(b)", "Lc": "ln(c)"},
-        var_order=("La", "Lb", "Lc", "X"),
-    )
+    pretty = format_poly(p, names={"La": "ln(a)", "Lb": "ln(b)", "Lc": "ln(c)", "X": "x"})
     assert pretty == "ln(c)*x + 1/4*ln(a) - 3/4*ln(b)"
+
+
+def test_format_poly_rejects_an_occurring_indeterminate_without_a_name():
+    names = {"X": "X", "La": "La", "Lb": "Lb", "Lc": "Lc"}
+    assert format_poly(X * LC + 1, names=names) == "X*Lc + 1"
+    with pytest.raises(ValueError, match="^no name for indeterminate: Y$"):
+        format_poly(X * Y + Y, names=names)
 
 
 def test_format_poly_term_order_is_graded_lex():

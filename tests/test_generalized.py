@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from polybernoulli import generalized
-from polybernoulli.exact import LA, LB, LC, MultiPoly, X, poly_eval
+from polybernoulli.exact import LA, LB, LC, MultiPoly, X, Y, poly_eval
 from polybernoulli.generalized import (
     gen_pb_numbers,
     gen_pb_numbers_by_sum,
@@ -161,6 +161,30 @@ def test_integral_respects_orientation_and_degenerate_bounds():
     a, b = F(-1, 2), F(1, 3)
     assert pb_definite_integral(4, 2, a, b) == -pb_definite_integral(4, 2, b, a)
     assert pb_definite_integral(3, 1, b, b).is_zero()
+
+
+def symbolic_integral_holds(n, k):
+    """``(n+1) Lc`` times the integral from Y to X is ``B_{n+1}(X) - B_{n+1}(Y)``."""
+    anti = gen_pb_poly(n + 1, k)
+    return (n + 1) * LC * pb_definite_integral(n, k, Y, X) == anti - anti.substitute({"X": Y})
+
+
+def test_definite_integral_over_every_interval():
+    assert all(symbolic_integral_holds(n, k) for n in range(11) for k in range(-3, 4))
+
+
+def test_planted_defect_zero_over_the_fixed_intervals_is_caught(monkeypatch):
+    # x(x - 1)(x + 1/2)(x - 1/3) takes equal values at both ends of each of
+    # the fixed intervals, so only bounds symbolic in x and y see it
+    integrate = MultiPoly.integrate
+
+    def planted(p, name):
+        return integrate(p, name) + X * (X - 1) * (X + F(1, 2)) * (X - F(1, 3))
+
+    monkeypatch.setattr(MultiPoly, "integrate", planted)
+    _, integral = verify_theorem4(n_max=4, k_set=(-1, 2))
+    assert integral.status == "pass"
+    assert not symbolic_integral_holds(2, 2)
 
 
 def test_theorem1_suite_passes():

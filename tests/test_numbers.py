@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from polybernoulli import numbers
-from polybernoulli.exact import X, poly_eval
+from polybernoulli.exact import X, binomial_convolution, poly_eval
 from polybernoulli.numbers import (
     PolyBernoulliCache,
     classical_bernoulli,
@@ -15,11 +15,22 @@ from polybernoulli.numbers import (
     poly_bernoulli_negative,
     poly_bernoulli_poly,
     stirling2,
-    stirling2_explicit,
 )
 from polybernoulli.series import PowerSeries, gf_poly_bernoulli, ps_div, ps_exp_linear
 
 F = Fraction
+
+
+def stirling2_explicit(n, m):
+    """S(n, m) by the alternating binomial sum, the reference for the recurrence.
+
+    ``S(n, m) = (-1)^m / m! * sum_{l=0}^{m} (-1)^l C(m, l) l^n`` with the
+    ``0^0 = 1`` convention at l = n = 0.
+    """
+    acc = binomial_convolution([(-1) ** l * l**n for l in range(m + 1)], [1] * (m + 1))
+    value = Fraction((-1) ** m * acc, factorial(m))
+    assert value.denominator == 1, "alternating sum did not produce an integer"
+    return value.numerator
 
 
 def count_set_partitions(n, m):
@@ -75,7 +86,7 @@ def test_stirling_rejects_negative():
     with pytest.raises(ValueError):
         stirling2(-1, 0)
     with pytest.raises(ValueError):
-        stirling2_explicit(2, -1)
+        stirling2(2, -1)
 
 
 def test_stirling_recurrence_matches_alternating_sum():
