@@ -1,11 +1,14 @@
-"""Euler polynomials, classical and three-parameter.
+"""Euler polynomials, classical and three-parameter, in closed form.
 
-``euler_poly(n)`` is the usual Euler polynomial, the normalized ``t^n``
-coefficient of ``2 e^{X t} / (e^t + 1)``.  ``gen_euler_poly(n)`` replaces the
-three occurrences of e by parameters a, b, c carried through their formal
-logarithms La, Lb, Lc: it expands ``2 c^{X t} / (b^t + a^t)``.  Setting
-La = 0 and renaming Lc to Lb (that is, a = 1 and c = b) and then sending
-Lb to 1 recovers the classical polynomial.
+``euler_poly(n)`` is the normalized ``t^n`` coefficient of
+``2 e^{X t} / (e^t + 1)``, built as ``poly_bernoulli_poly`` is: the binomial
+convolution of the Euler numbers ``E_j(0) = sum_m (-1/2)^m m! S(j, m)`` (from
+``2 / (1 + e^t) = sum_m (-(e^t - 1) / 2)^m``) with powers of X.
+``gen_euler_poly(n)`` expands ``2 c^{X t} / (b^t + a^t)`` in the formal
+logarithms La, Lb, Lc of a, b, c.  That is ``e^{(X Lc - La) t}`` times
+``2 / (1 + e^{(Lb - La) t})``, so it is ``(Lb - La)^n E_n((X Lc - La) / (Lb - La))``,
+one homogeneous substitution, as ``gen_pb_poly`` is.  At a = 1, c = b and then
+ln b = 1 it is the classical polynomial.  Nothing here calls the series engine.
 """
 
 from __future__ import annotations
@@ -14,11 +17,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact import LA, LB, LC, MultiPoly, X, as_poly, binomial_convolution
+from .exact import LA, LB, LC, MultiPoly, X, binomial_convolution, homogeneous_substitute, powers
+from .numbers import _stirling_row
 from .reports import IdentityReport, check
-from .series import ps_div, ps_exp_linear
 
 __all__ = ["euler_poly", "gen_euler_poly", "verify_euler_identities"]
+
+
+def _euler_number(j: int) -> Fraction:
+    """``E_j(0)``, with the Stirling sum over the common denominator ``2^j``."""
+    terms = ((-1) ** m * factorial(m) * s << (j - m) for m, s in enumerate(_stirling_row(j)))
+    return Fraction(sum(terms), 1 << j)
 
 
 @lru_cache(maxsize=None)
@@ -26,21 +35,13 @@ def euler_poly(n: int) -> MultiPoly:
     """Classical Euler polynomial of degree n, as a MultiPoly in X."""
     if n < 0:
         raise ValueError("the index must be non-negative")
-    num = ps_exp_linear(X, n) * 2
-    den = ps_exp_linear(Fraction(1), n) + 1
-    series = ps_div(num, den)
-    return as_poly(series.coefficient(n) * factorial(n))
+    return binomial_convolution([_euler_number(j) for j in range(n + 1)], powers(X, n))
 
 
 @lru_cache(maxsize=None)
 def gen_euler_poly(n: int) -> MultiPoly:
     """Three-parameter Euler polynomial in X, La, Lb, Lc."""
-    if n < 0:
-        raise ValueError("the index must be non-negative")
-    num = ps_exp_linear(X * LC, n) * 2
-    den = ps_exp_linear(LA, n) + ps_exp_linear(LB, n)
-    series = ps_div(num, den)
-    return as_poly(series.coefficient(n) * factorial(n))
+    return homogeneous_substitute(euler_poly(n), X * LC - LA, LB - LA)
 
 
 def _shift_x(p: MultiPoly, delta) -> MultiPoly:
@@ -54,6 +55,11 @@ def verify_euler_identities(n_max: int) -> list[IdentityReport]:
     E2: the reflection pairing ``E_k(x+1) + E_k(x) = 2 x^k``.
     E3: the same pairing for the (1, b, b) specialization, which picks up a
         factor ``(ln b)^k`` on the right.
+
+    E1 holds for any convolution with powers of X; E2 has one polynomial
+    solution per k, so it proves ``euler_poly(k)``.  Like T3.19, E3 follows
+    from E2, since ``gen_euler_poly`` substitutes into ``euler_poly``; it
+    stays as the paper's statement.
     """
     n_range = f"0..{n_max}"
     degrees = range(n_max + 1)

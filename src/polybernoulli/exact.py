@@ -60,6 +60,14 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
+def _index(name: str) -> int:
+    """The field of ``name`` in an exponent vector; ValueError for an unknown name."""
+    try:
+        return _VAR_INDEX[name]
+    except KeyError:
+        raise ValueError(f"unknown indeterminate: {name}") from None
+
+
 class MultiPoly:
     """Immutable sparse polynomial in X, La, Lb, Lc, Y over Rational."""
 
@@ -90,9 +98,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        idx = _VAR_INDEX.get(name)
-        if idx is None:
-            raise ValueError(f"unknown indeterminate: {name}")
+        idx = _index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(VARIABLES)))
         return cls._from_clean({exps: _F1})
 
@@ -117,7 +123,7 @@ class MultiPoly:
 
     def degree(self, name: str) -> int:
         """Largest exponent of ``name`` appearing in any term (0 for the zero poly)."""
-        idx = _VAR_INDEX[name]
+        idx = _index(name)
         return max((e[idx] for e in self._terms), default=0)
 
     def coefficient(self, exps: tuple) -> Fraction:
@@ -125,7 +131,7 @@ class MultiPoly:
 
     def diff(self, name: str) -> "MultiPoly":
         """The derivative in ``name``: each term's exponent drops by one."""
-        idx = _VAR_INDEX[name]
+        idx = _index(name)
         return MultiPoly._from_clean({
             exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]: exps[idx] * c
             for exps, c in self._terms.items() if exps[idx]
@@ -133,7 +139,7 @@ class MultiPoly:
 
     def integrate(self, name: str) -> "MultiPoly":
         """The antiderivative in ``name`` that vanishes at ``name = 0``."""
-        idx = _VAR_INDEX[name]
+        idx = _index(name)
         return MultiPoly._from_clean({
             exps[:idx] + (exps[idx] + 1,) + exps[idx + 1:]: c / (exps[idx] + 1)
             for exps, c in self._terms.items()
@@ -225,10 +231,7 @@ class MultiPoly:
         product of powers multiplies one group, and every product is summed
         into one map.
         """
-        for name in bindings:
-            if name not in _VAR_INDEX:
-                raise ValueError(f"unknown indeterminate: {name}")
-        bound = {_VAR_INDEX[name]: powers(v, self.degree(name)) for name, v in bindings.items()}
+        bound = {_index(name): powers(v, self.degree(name)) for name, v in bindings.items()}
         groups: dict[tuple, dict[tuple, Fraction]] = {}
         for exps, coeff in self._terms.items():
             residual = tuple(0 if i in bound else e for i, e in enumerate(exps))
@@ -379,7 +382,7 @@ def format_poly(p: MultiPoly, names: Mapping[str, str] | None = None) -> str:
             raise ValueError(f"no name for indeterminate: {var}")
     if p.is_zero():
         return "0"
-    spelled = [(_VAR_INDEX[var], name) for var, name in names.items()]
+    spelled = [(_index(var), name) for var, name in names.items()]
     parts = []
     for exps in sorted(p._terms, key=_term_sort_key, reverse=True):
         coeff = p._terms[exps]

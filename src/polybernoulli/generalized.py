@@ -405,7 +405,8 @@ def verify_corollary1(n_max: int) -> list[IdentityReport]:
 
     The left side comes straight from dividing ``t e^{x t}`` by ``e^t - 1``;
     the right side is the k != 1 part of the binomial convolution of the
-    classical Bernoulli numbers with Euler polynomials.
+    classical Bernoulli numbers with Euler polynomials.  Past the ring the
+    two sides share no code: only the left calls the series engine.
     """
 
     def cases():

@@ -154,16 +154,6 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def diff(self) -> "PowerSeries":
-        """Termwise d/dt; the order drops by one.
-
-        Differentiating an order-0 series returns the order-0 zero series, by
-        convention, so the operation stays total.
-        """
-        if self.order == 0:
-            return PowerSeries((_F0,))
-        return PowerSeries(tuple((i + 1) * c for i, c in enumerate(self._coeffs[1:])))
-
     def integrate(self) -> "PowerSeries":
         """Termwise integral from 0; the order grows by one (exactly known)."""
         out = [_F0]

@@ -1,12 +1,21 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+import polybernoulli.euler as euler
 from polybernoulli.euler import euler_poly, gen_euler_poly, verify_euler_identities
-from polybernoulli.exact import LA, LB, LC, X, poly_eval
+from polybernoulli.exact import LA, LB, LC, X, as_poly, poly_eval
 from polybernoulli.reports import all_passed
+from polybernoulli.series import ps_div, ps_exp_linear
 
 F = Fraction
+
+
+def series_euler(n, x, ln_a, ln_b):
+    """n! [t^n] of ``2 e^{x t} / (e^{ln_a t} + e^{ln_b t})``, by series division."""
+    series = ps_div(ps_exp_linear(x, n) * 2, ps_exp_linear(ln_a, n) + ps_exp_linear(ln_b, n))
+    return as_poly(series.coefficient(n) * factorial(n))
 
 
 def test_classical_small_degrees():
@@ -17,7 +26,8 @@ def test_classical_small_degrees():
 
 
 def test_classical_degree_and_leading_coefficient():
-    for n in range(9):
+    # the Stirling rows carry no cap, so degrees past 64 still answer
+    for n in [*range(9), 70]:
         p = euler_poly(n)
         assert p.degree("X") == n
         assert p.coefficient((n, 0, 0, 0, 0)) == 1
@@ -55,3 +65,29 @@ def test_identity_suite_passes():
     assert [r.identity_id for r in reports] == ["E1", "E2", "E3"]
     assert all_passed(reports)
     assert all(r.witness == "" for r in reports)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_closed_forms_match_the_series_route(n):
+    assert euler_poly(n) == series_euler(n, X, F(0), F(1))
+    assert gen_euler_poly(n) == series_euler(n, X * LC, LA, LB)
+
+
+@pytest.fixture
+def fresh_euler_caches():
+    euler_poly.cache_clear()
+    gen_euler_poly.cache_clear()
+    yield
+    euler_poly.cache_clear()
+    gen_euler_poly.cache_clear()
+
+
+def test_planted_defect_in_the_euler_numbers_is_caught(monkeypatch, fresh_euler_caches):
+    exact_number = euler._euler_number
+    monkeypatch.setattr(euler, "_euler_number", lambda j: exact_number(j) + (j == 3))
+    e1, e2, e3 = verify_euler_identities(5)
+    # every binomial convolution with powers of X satisfies the shift E1
+    assert e1.passed
+    # the pairing to 2 X^k has one polynomial solution per k, so E2 sees it
+    assert not e2.passed and e2.witness.startswith("k=3:")
+    assert not e3.passed and e3.witness.startswith("k=3:")

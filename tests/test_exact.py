@@ -175,6 +175,12 @@ def test_substitute_unknown_name():
         X.substitute({"Z": 1})
 
 
+@pytest.mark.parametrize("method", ["degree", "diff", "integrate"])
+def test_unknown_name_raises_value_error(method):
+    with pytest.raises(ValueError, match="unknown indeterminate: Z"):
+        getattr(X, method)("Z")
+
+
 def test_eval_requires_occurring_bindings():
     p = X * LA
     assert p.eval({"X": 2, "La": F(1, 2)}) == 1
@@ -291,6 +297,8 @@ def test_format_poly_rejects_an_occurring_indeterminate_without_a_name():
     assert format_poly(X * LC + 1, names=names) == "X*Lc + 1"
     with pytest.raises(ValueError, match="^no name for indeterminate: Y$"):
         format_poly(X * Y + Y, names=names)
+    with pytest.raises(ValueError, match="^unknown indeterminate: Z$"):
+        format_poly(X, names={**names, "Z": "z"})
 
 
 def test_format_poly_term_order_is_graded_lex():

@@ -232,19 +232,18 @@ def test_exp_functional_equation():
 
 def test_diff_integrate():
     s = series_of(0, 0, 1)  # t^2
-    assert s.diff().coeffs == (F(0), F(2))
     assert s.integrate().coeffs == (F(0), F(0), F(0), F(1, 3))
-    assert PowerSeries.constant(5, 0).diff().coeffs == (F(0),)
+    assert PowerSeries.constant(5, 0).integrate().coeffs == (F(0), F(5))
 
 
-@given(rational_series(min_order=1))
+@given(rational_series())
 @settings(max_examples=30)
 def test_fundamental_theorem(s):
-    # integrate then differentiate gives back the series (up to its order)
-    assert s.integrate().diff() == s
-    # differentiate then integrate loses only the constant term
-    back = s.diff().integrate()
-    assert back == PowerSeries((F(0),) + s.coeffs[1:])
+    # the integral from 0 has constant term 0, and its derivative is s
+    out = s.integrate().coeffs
+    assert len(out) == len(s.coeffs) + 1
+    assert out[0] == 0
+    assert all((i + 1) * out[i + 1] == c for i, c in enumerate(s.coeffs))
 
 
 # -- polylog and generating functions --------------------------------------
