@@ -17,7 +17,9 @@ functions that return immutable values, so one memo is shared across the
 process and across threads: concurrent misses may compute a row twice, but
 never corrupt it.  A :class:`PolyBernoulliCache` holds only a cap on the
 indices it answers for (default 64), so runaway requests fail loudly, naming
-the index asked for, instead of eating memory.
+the index asked for.  The cap does not bound memory: the memo is unbounded,
+so rows grown for a raised-cap instance stay for the life of the process,
+and ``euler._euler_number`` reads Stirling rows with no cap at all.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .exact import MultiPoly, format_poly
+from .series import PowerSeries
 
 __all__ = ["IdentityReport", "IDENTITY_IDS", "all_passed", "check"]
 
@@ -37,6 +38,21 @@ def _clip(text: str) -> str:
     if len(text) <= _WITNESS_LIMIT:
         return text
     return text[: _WITNESS_LIMIT - 3] + "..."
+
+
+def _witness(label: str, lhs, rhs) -> str:
+    """Narrow a tuple or series mismatch to its first differing part, then show that part.
+
+    A polynomial part is shown by its difference, any other by both values.
+    """
+    series = isinstance(lhs, PowerSeries) and isinstance(rhs, PowerSeries)
+    left, right = (lhs.coeffs, rhs.coeffs) if series else (lhs, rhs)
+    if isinstance(left, tuple) and isinstance(right, tuple) and len(left) == len(right):
+        i = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+        return _witness(f"{label} [{f't^{i}' if series else i}]", left[i], right[i])
+    if isinstance(lhs, MultiPoly) or isinstance(rhs, MultiPoly):
+        return f"{label}: diff {format_poly(lhs - rhs)}"
+    return f"{label}: {lhs} vs {rhs}"
 
 
 @dataclass(frozen=True)
@@ -102,7 +118,7 @@ def check(
     """Compare each ``(label, lhs, rhs)`` case exactly, stopping at the first mismatch.
 
     ``cases`` is consumed lazily, so nothing past a failing case is computed.
-    A polynomial mismatch is witnessed by the difference, any other by both sides.
+    The first mismatch becomes the witness (see ``_witness``).
     """
     count = 0
     witness = None
@@ -110,10 +126,7 @@ def check(
     for label, lhs, rhs in cases:
         count += 1
         if lhs != rhs:
-            if isinstance(lhs, MultiPoly) or isinstance(rhs, MultiPoly):
-                witness = f"{label}: diff {format_poly(lhs - rhs)}"
-            else:
-                witness = f"{label}: {lhs} vs {rhs}"
+            witness = _witness(label, lhs, rhs)
             break
     elapsed_ms = (time.perf_counter() - start) * 1000
     return IdentityReport(identity_id, detail, n_range, k_range, witness is None, witness or "",

@@ -7,8 +7,8 @@ Like every suite, each one is a lazy stream of ``(label, lhs, rhs)`` cases
 fed to :func:`~polybernoulli.reports.check`.  ``run_suite`` is what the
 command line calls; it maps a suite name to the right verifier family and
 returns the combined report list in a stable order.  It is the one place
-that sets grids: no ``verify_*`` function has a default, and ``run_suite``
-checks the requested grid (``validate_grid``) before any suite runs.
+that sets grids and checks them: no ``verify_*`` function has a default, and
+``run_suite`` rejects a grid it cannot run before any suite runs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "verify_negative_index",
     "verify_iterated_integral",
     "verify_gen_numbers_anchor",
-    "validate_grid",
     "run_suite",
 ]
 
@@ -102,8 +101,17 @@ def verify_gen_numbers_anchor(n_max: int, k_min: int, k_max: int) -> list[Identi
     ]
 
 
-def validate_grid(suite: str, n_max=None, k_min=None, k_max=None) -> range:
-    """The k range ``run_suite`` would check; ValueError for a grid it cannot run."""
+def run_suite(
+    suite: str,
+    n_max: int | None = None,
+    k_min: int | None = None,
+    k_max: int | None = None,
+) -> list[IdentityReport]:
+    """Run one named identity suite (or all of them) and collect the reports.
+
+    ValueError, before any suite runs, for an unknown suite, an empty k range,
+    a negative n_max or one past the cap, and T5 with no k >= 1.
+    """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite: {suite!r}")
     lo = -3 if k_min is None else k_min
@@ -116,18 +124,7 @@ def validate_grid(suite: str, n_max=None, k_min=None, k_max=None) -> range:
         DEFAULT_CACHE._check_cap(n=n_max)
     if suite in ("all", "T5") and hi < 1:
         raise ValueError("T5 needs some k >= 1 in the k range")
-    return range(lo, hi + 1)
-
-
-def run_suite(
-    suite: str,
-    n_max: int | None = None,
-    k_min: int | None = None,
-    k_max: int | None = None,
-) -> list[IdentityReport]:
-    """Run one named identity suite (or all of them) and collect the reports."""
-    k_set = validate_grid(suite, n_max, k_min, k_max)
-    lo, hi = k_set[0], k_set[-1]
+    k_set = range(lo, hi + 1)
 
     def n_or(default: int) -> int:
         return default if n_max is None else n_max

@@ -179,6 +179,15 @@ def test_verify_all_pins_every_grid(capsys, shared_run_suite):
     assert sum(n for _, n in cases) == 3040
 
 
+def test_verify_all_at_a_small_n_max_totals_its_cases(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--n-max", "3", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 26
+    assert sum(r["cases"] for r in reports) == 907
+    assert sum(r["cases"] for r in reports if r["id"] == "T5") == 12  # k = 1..3, n = 0..3
+
+
 def test_verify_failure_sets_exit_one(capsys, monkeypatch):
     failing = IdentityReport("C1", "planted failure", "0..1", "-", False, "n=0: planted", cases=1)
     monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: [failing])
@@ -227,6 +236,7 @@ UNKNOWN_FLAG = "unrecognized arguments"
         ("verify --suite T3 --n-max -1", "n_max must be non-negative"),
         ("verify --suite T5 --k-max 0", "T5 needs some k >= 1"),
         ("verify --suite T1 --n-max 65", "n=65 exceeds the cache cap 64"),
+        ("verify --suite T1 --k-min 5 --k-max 3", "the k range is empty"),
         ("eval --number 3 -k 1 -x 5", "-x and --ln-c apply only to --poly"),
         (
             "eval --number 3 -k 2 --generalized --ln-a 1 --ln-b 1 --ln-c 7 -x 9",

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from polybernoulli import verification
 from polybernoulli.exact import LA, X
+from polybernoulli.generalized import gen_pb_poly
 from polybernoulli.reports import IdentityReport, check
+from polybernoulli.series import PowerSeries, gf_iterated_integral, gf_poly_bernoulli
 
 
 def test_check_counts_every_case_of_a_pass():
@@ -37,6 +40,24 @@ def test_check_witness_forms():
     assert scalar.witness == "n=0 k=1: 1/2 vs 1/3"
     mixed = check("T1.12", "planted", "0..0", "1", [("n=0", 2 * LA, 0)])
     assert mixed.witness == "n=0: diff 2*La"
+
+
+def test_tuple_witness_names_the_first_differing_part():
+    p = gen_pb_poly(4, 4)
+    report = check("T2.17", "planted", "0..4", "4",
+                   [("n=4 k=4 (symbolic forms)", (p, p), (p, p + X**5))])
+    assert report.witness == "n=4 k=4 (symbolic forms) [1]: diff -X^5"
+
+
+def test_series_witness_names_the_first_differing_coefficient(monkeypatch):
+    def bumped_at_t12(k, order):
+        s = gf_iterated_integral(k, order)
+        return PowerSeries(s.coeffs[:12] + (s.coefficient(12) + 1,) + s.coeffs[13:])
+
+    monkeypatch.setattr(verification, "gf_iterated_integral", bumped_at_t12)
+    [report] = verification.verify_iterated_integral(order=12)
+    c = gf_poly_bernoulli(1, 12).coefficient(12)
+    assert report.witness == f"k=1 [t^12]: {c + 1} vs {c}"
 
 
 def test_zero_cases_is_not_a_pass():
