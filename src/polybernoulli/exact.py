@@ -10,9 +10,14 @@ stand for the formal logarithms of three positive parameters a, b, c, kept
 symbolic so identities can be checked exactly; ``X`` is the polynomial
 argument, and ``Y`` a second argument, so identities in ``x + y`` hold as
 polynomial identities.
-Terms live in a map from exponent vectors ``(eX, eLa, eLb, eLc, eY)`` to
-nonzero coefficients, so equality is plain map equality and zero is the
-empty map.
+A polynomial is stored as integer numerators over one positive common
+denominator: a map from exponent vectors ``(eX, eLa, eLb, eLc, eY)`` to
+nonzero ints, and one int.  Every result has the content it shares with the
+denominator divided out, so equal polynomials have equal storage: equality
+is plain map equality, and zero is the empty map over 1.  Ring operations,
+substitution, calculus and evaluation run on Python ints; ``Fraction``s are
+built only at the edges (``items``, ``coefficient``, ``constant_value``,
+``format_poly`` and the value ``eval`` returns).
 
 Every power and every binomial sum in the closed forms is built by one
 routine here: ``powers`` and ``binomial_convolution``.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterator, Mapping, Union
 
 __all__ = [
@@ -68,82 +73,104 @@ def _index(name: str) -> int:
         raise ValueError(f"unknown indeterminate: {name}") from None
 
 
+def _as_fraction(value) -> Scalar:
+    """``value`` as an int or Fraction, whose numerator and denominator are reduced."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
 class MultiPoly:
     """Immutable sparse polynomial in X, La, Lb, Lc, Y over Rational."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
-        clean: dict[tuple, Fraction] = {}
+        coeffs: dict[tuple, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)
             if len(key) != len(VARIABLES) or any(not isinstance(e, int) or e < 0 for e in key):
                 raise ValueError(f"bad exponent vector: {exps!r}")
             c = Fraction(coeff)
             if c:
-                clean[key] = c
-        self._terms = clean
+                coeffs[key] = c
+        # over the lcm of the reduced denominators, no content is left to divide out
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        self._den = den
 
     @classmethod
-    def _from_clean(cls, terms: dict[tuple, Fraction]) -> "MultiPoly":
-        # internal fast path: terms must already be validated and zero-free
+    def _from_parts(cls, num: dict[tuple, int], den: int) -> "MultiPoly":
+        """``num / den`` in canonical form: zero terms dropped, content divided out.
+
+        Internal fast path: ``num`` maps validated exponent vectors to ints,
+        and ``den`` is positive.
+        """
+        if not all(num.values()):
+            num = {e: c for e, c in num.items() if c}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
         obj = object.__new__(cls)
-        obj._terms = terms
+        obj._num = num
+        obj._den = den
         return obj
 
     @classmethod
     def constant(cls, value: Scalar) -> "MultiPoly":
-        c = Fraction(value)
-        return cls._from_clean({_ZERO_EXPS: c} if c else {})
+        c = _as_fraction(value)
+        return cls._from_parts({_ZERO_EXPS: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
         idx = _index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(VARIABLES)))
-        return cls._from_clean({exps: _F1})
+        return cls._from_parts({exps: 1}, 1)
 
     # -- structure ---------------------------------------------------------
 
     def items(self) -> Iterator[tuple[tuple, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((exps, Fraction(c, den)) for exps, c in self._num.items())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {_ZERO_EXPS}
+        return not self._num or self._num.keys() == {_ZERO_EXPS}
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial; raises ValueError otherwise."""
-        if not self._terms:
-            return _F0
-        if set(self._terms) == {_ZERO_EXPS}:
-            return self._terms[_ZERO_EXPS]
-        raise ValueError("not a constant polynomial")
+        if not self.is_constant():
+            raise ValueError("not a constant polynomial")
+        return Fraction(self._num.get(_ZERO_EXPS, 0), self._den)
 
     def degree(self, name: str) -> int:
         """Largest exponent of ``name`` appearing in any term (0 for the zero poly)."""
         idx = _index(name)
-        return max((e[idx] for e in self._terms), default=0)
+        return max((e[idx] for e in self._num), default=0)
 
     def coefficient(self, exps: tuple) -> Fraction:
-        return self._terms.get(tuple(exps), _F0)
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
     def diff(self, name: str) -> "MultiPoly":
         """The derivative in ``name``: each term's exponent drops by one."""
         idx = _index(name)
-        return MultiPoly._from_clean({
+        return MultiPoly._from_parts({
             exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]: exps[idx] * c
-            for exps, c in self._terms.items() if exps[idx]
-        })
+            for exps, c in self._num.items() if exps[idx]
+        }, self._den)
 
     def integrate(self, name: str) -> "MultiPoly":
         """The antiderivative in ``name`` that vanishes at ``name = 0``."""
         idx = _index(name)
-        return MultiPoly._from_clean({
-            exps[:idx] + (exps[idx] + 1,) + exps[idx + 1:]: c / (exps[idx] + 1)
-            for exps, c in self._terms.items()
-        })
+        scale = lcm(*(exps[idx] + 1 for exps in self._num))
+        return MultiPoly._from_parts({
+            exps[:idx] + (exps[idx] + 1,) + exps[idx + 1:]: c * (scale // (exps[idx] + 1))
+            for exps, c in self._num.items()
+        }, self._den * scale)
 
     # -- ring operations ---------------------------------------------------
 
@@ -159,14 +186,18 @@ class MultiPoly:
         other = MultiPoly._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        _accumulate(out, other._terms)
-        return MultiPoly._from_clean(out)
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        out = dict(self._num)
+        den = _add_into(out, self._den, other._num, other._den)
+        return MultiPoly._from_parts(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._from_clean({e: -c for e, c in self._terms.items()})
+        return MultiPoly._from_parts({e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = MultiPoly._coerce(other)
@@ -184,18 +215,14 @@ class MultiPoly:
         other = MultiPoly._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = (
-                    e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4]
-                )
-                s = out.get(key, _F0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return MultiPoly._from_clean(out)
+        out: dict[tuple, int] = {}
+        get = out.get
+        right = other._num.items()
+        for (a0, a1, a2, a3, a4), c1 in self._num.items():
+            for (b0, b1, b2, b3, b4), c2 in right:
+                key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
+                out[key] = get(key, 0) + c1 * c2
+        return MultiPoly._from_parts(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -203,22 +230,22 @@ class MultiPoly:
         return powers(self, exponent)[-1]
 
     def __eq__(self, other):
+        # canonical storage: equal polynomials have equal numerators and denominator
         if isinstance(other, MultiPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return not self._terms
-            return self._terms == {_ZERO_EXPS: c}
+            if not other:
+                return not self._num
+            return self._den == other.denominator and self._num == {_ZERO_EXPS: other.numerator}
         return NotImplemented
 
     def __hash__(self):
         if self.is_constant():
-            return hash(self._terms.get(_ZERO_EXPS, _F0))
-        return hash(frozenset(self._terms.items()))
+            return hash(self.constant_value())
+        return hash((frozenset(self._num.items()), self._den))
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- substitution and evaluation --------------------------------------
 
@@ -229,39 +256,48 @@ class MultiPoly:
         at once.  Binding values may be ``MultiPoly``, ``int`` or ``Rational``.
         Terms are grouped by their exponents of the bound names, so each
         product of powers multiplies one group, and every product is summed
-        into one map.
+        into one numerator map as it is produced.
         """
         bound = {_index(name): powers(v, self.degree(name)) for name, v in bindings.items()}
-        groups: dict[tuple, dict[tuple, Fraction]] = {}
-        for exps, coeff in self._terms.items():
+        groups: dict[tuple, dict[tuple, int]] = {}
+        for exps, c in self._num.items():
             residual = tuple(0 if i in bound else e for i, e in enumerate(exps))
-            groups.setdefault(tuple(exps[i] for i in bound), {})[residual] = coeff
-        out: dict[tuple, Fraction] = {}
+            groups.setdefault(tuple(exps[i] for i in bound), {})[residual] = c
+        out: dict[tuple, int] = {}
+        den = 1
         for key, residual_terms in groups.items():
-            group = MultiPoly._from_clean(residual_terms)
+            group = MultiPoly._from_parts(residual_terms, self._den)
             for pows, e in zip(bound.values(), key):
                 if e:
                     group = group * pows[e]
-            _accumulate(out, group._terms)
-        return MultiPoly._from_clean(out)
+            den = _add_into(out, den, group._num, group._den)
+        return MultiPoly._from_parts(out, den)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at an all-rational point.
 
         Every indeterminate that actually occurs must be bound; a missing one
-        raises ValueError naming it.
+        raises ValueError naming it.  A value ``p/q`` of an indeterminate of
+        degree ``D`` enters a term of exponent ``e`` as ``p^e q^(D - e)``, so
+        the sum runs on integers over the denominator ``den * q^D * ...``.
         """
-        total = _F0
-        for exps, coeff in self._terms.items():
-            v = coeff
-            for name, idx in _VAR_INDEX.items():
-                e = exps[idx]
-                if e:
-                    if name not in point:
-                        raise ValueError(f"unbound indeterminate: {name}")
-                    v *= Fraction(point[name]) ** e
-            total += v
-        return total
+        den = self._den
+        tables = []
+        for name, idx in _VAR_INDEX.items():
+            degree = self.degree(name)
+            if degree:
+                if name not in point:
+                    raise ValueError(f"unbound indeterminate: {name}")
+                value = _as_fraction(point[name])
+                p, q = value.numerator, value.denominator
+                tables.append((idx, [p**e * q ** (degree - e) for e in range(degree + 1)]))
+                den *= q**degree
+        total = 0
+        for exps, c in self._num.items():
+            for idx, table in tables:
+                c *= table[exps[idx]]
+            total += c
+        return Fraction(total, den)
 
     def __repr__(self):
         return f"MultiPoly({format_poly(self)!r})"
@@ -270,14 +306,23 @@ class MultiPoly:
         return format_poly(self)
 
 
-def _accumulate(out: dict[tuple, Fraction], terms: Mapping[tuple, Fraction]) -> None:
-    """Add ``terms`` into the term map ``out`` in place, dropping zero sums."""
-    for exps, c in terms.items():
-        s = out.get(exps, _F0) + c
-        if s:
-            out[exps] = s
-        else:
-            out.pop(exps, None)
+def _add_into(out: dict[tuple, int], den: int, num: Mapping[tuple, int], d: int) -> int:
+    """Add ``num / d`` into the numerator map ``out`` over ``den``, in place.
+
+    ``out`` is rescaled only when ``d`` does not divide ``den``.  Returns the
+    denominator ``out`` is over afterwards.  Zero sums stay in ``out`` until
+    ``MultiPoly._from_parts`` drops them.
+    """
+    if den % d:
+        grow = d // gcd(den, d)
+        for e in out:
+            out[e] *= grow
+        den *= grow
+    scale = den // d
+    get = out.get
+    for e, c in num.items():
+        out[e] = get(e, 0) + c * scale
+    return den
 
 
 X = MultiPoly.variable("X")
@@ -335,11 +380,13 @@ def homogeneous_substitute(p: MultiPoly, numerator: PolyLike, complement: PolyLi
     """
     degree = p.degree("X")
     num_pows, comp_pows = powers(numerator, degree), powers(complement, degree)
-    out: dict[tuple, Fraction] = {}
-    for exps, c in p.items():
-        rest = MultiPoly._from_clean({(0,) + exps[1:]: c})
-        _accumulate(out, (rest * num_pows[exps[0]] * comp_pows[degree - exps[0]])._terms)
-    return MultiPoly._from_clean(out)
+    out: dict[tuple, int] = {}
+    den = 1
+    for exps, c in p._num.items():
+        rest = MultiPoly._from_parts({(0,) + exps[1:]: c}, p._den)
+        term = rest * num_pows[exps[0]] * comp_pows[degree - exps[0]]
+        den = _add_into(out, den, term._num, term._den)
+    return MultiPoly._from_parts(out, den)
 
 
 # -- text round-trip -------------------------------------------------------
@@ -378,14 +425,14 @@ def format_poly(p: MultiPoly, names: Mapping[str, str] | None = None) -> str:
     """
     names = CANONICAL_NAMES if names is None else names
     for idx, var in enumerate(VARIABLES):
-        if var not in names and any(exps[idx] for exps in p._terms):
+        if var not in names and any(exps[idx] for exps in p._num):
             raise ValueError(f"no name for indeterminate: {var}")
     if p.is_zero():
         return "0"
     spelled = [(_index(var), name) for var, name in names.items()]
     parts = []
-    for exps in sorted(p._terms, key=_term_sort_key, reverse=True):
-        coeff = p._terms[exps]
+    for exps in sorted(p._num, key=_term_sort_key, reverse=True):
+        coeff = Fraction(p._num[exps], p._den)
         factors = []
         for idx, name in spelled:
             e = exps[idx]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .exact import MultiPoly, X, binomial_convolution, powers
 
@@ -60,11 +60,14 @@ def _stirling_row(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _closed_form(n: int, k: int) -> Fraction:
-    total = Fraction(0)
+    """The Stirling sum on integers over ``lcm(1..n+1)^k`` (1 for k <= 0), one Fraction at the end."""
+    common = lcm(*range(1, n + 2)) ** k if k > 0 else 1
+    total = 0
     for m, s in enumerate(_stirling_row(n), start=1):
         if s:
-            total += Fraction((-1) ** (m - 1) * factorial(m - 1) * s) / Fraction(m) ** k
-    return total if n % 2 == 0 else -total
+            weight = common // m**k if k > 0 else m**-k
+            total += (-1) ** (m - 1) * factorial(m - 1) * s * weight
+    return Fraction(total if n % 2 == 0 else -total, common)
 
 
 class PolyBernoulliCache:

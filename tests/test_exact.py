@@ -273,6 +273,84 @@ def test_substitute_then_eval_matches(p, q, r, pt):
     assert poly_eval(composed, pt) == poly_eval(p, inner_pt)
 
 
+# -- canonical storage: integer numerators over one common denominator -----
+
+# denominators up to 10^6, so the common denominator of a polynomial varies
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+@st.composite
+def wide_polys(draw):
+    return MultiPoly(draw(st.dictionaries(exponents, wide_rationals, max_size=5)))
+
+
+wide_points = st.fixed_dictionaries(
+    {name: st.one_of(st.integers(-9, 9), wide_rationals) for name in VARIABLES}
+)
+
+
+@given(wide_polys(), wide_polys())
+@settings(max_examples=60)
+def test_polynomials_built_by_different_routes_compare_and_hash_equal(p, q):
+    for a, b in [((p + q) - q, p), ((p - q) + q, p), (p * q, q * p), (-(-p), p)]:
+        assert a == b
+        assert hash(a) == hash(b)
+
+
+@given(wide_rationals)
+def test_a_constant_hashes_like_its_value(c):
+    assert MultiPoly.constant(c) == c
+    assert hash(MultiPoly.constant(c)) == hash(c)
+    assert hash(X * c - X * c + c) == hash(c)
+
+
+@given(wide_polys())
+@settings(max_examples=60)
+def test_rebuilding_from_items_gives_the_same_polynomial(p):
+    coeffs = dict(p.items())
+    assert all(isinstance(c, F) and c for c in coeffs.values())
+    assert MultiPoly(coeffs) == p
+    assert hash(MultiPoly(coeffs)) == hash(p)
+
+
+def test_content_cancels():
+    assert (X + 1) * F(1, 2) * 2 == X + 1
+    assert format_poly((X + 1) * F(1, 2) * 2) == "X + 1"
+    assert F(3, 2) * (F(2, 3) * X**2).diff("X") == 2 * X
+    assert (6 * X + 3).integrate("X") == 3 * X**2 + 3 * X
+    p = F(1, 3) * X + F(5, 7) * LA - F(1, 10**6) * Y
+    assert str(p - p) == "0"
+    assert p - p == 0 and hash(p - p) == hash(0)
+
+
+def _reference_eval(p, point):
+    # the term-by-term Fraction sum the integer evaluation must equal
+    total = F(0)
+    for exps, coeff in p.items():
+        for name, e in zip(VARIABLES, exps):
+            coeff *= F(point[name]) ** e
+        total += coeff
+    return total
+
+
+@given(wide_polys(), wide_points)
+@settings(max_examples=60)
+def test_eval_matches_the_fraction_sum_over_items(p, point):
+    value = p.eval(point)
+    assert isinstance(value, F)
+    assert value == _reference_eval(p, point)
+
+
+@given(wide_polys(), wide_points)
+@settings(max_examples=30)
+def test_eval_names_each_unbound_indeterminate(p, point):
+    for name in VARIABLES:
+        if p.degree(name):
+            missing = {v: q for v, q in point.items() if v != name}
+            with pytest.raises(ValueError, match=f"^unbound indeterminate: {name}$"):
+                p.eval(missing)
+
+
 # -- text round-trip -------------------------------------------------------
 
 

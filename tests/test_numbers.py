@@ -170,6 +170,22 @@ def test_known_values():
     assert poly_bernoulli(2, -2) == 14
 
 
+def test_integer_sum_equals_the_term_by_term_fraction_sum():
+    # the closed form sums over one common denominator; this is the same
+    # Stirling sum with one Fraction per term
+    def reference(n, k):
+        total = F(0)
+        for m in range(1, n + 2):
+            total += F((-1) ** (m - 1) * factorial(m - 1) * stirling2(n, m - 1)) / F(m) ** k
+        return total if n % 2 == 0 else -total
+
+    for n in range(0, 49):
+        for k in range(-4, 5):
+            value = poly_bernoulli(n, k)
+            assert isinstance(value, F)
+            assert value == reference(n, k)
+
+
 def test_rejects_negative_lower_index():
     with pytest.raises(ValueError):
         poly_bernoulli(-1, 2)
