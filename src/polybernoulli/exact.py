@@ -1,10 +1,10 @@
 """Exact coefficient arithmetic: rational scalars and sparse multivariate polynomials.
 
-The scalar type is :class:`fractions.Fraction`, re-exported as ``Rational``.
-It already keeps every value in the canonical form the package relies on:
-reduced, positive denominator, zero stored as 0/1.
+The scalar type is :class:`fractions.Fraction`.  It already keeps every
+value in the canonical form the package relies on: reduced, positive
+denominator, zero stored as 0/1.
 
-``MultiPoly`` is a sparse polynomial over ``Rational`` in the five fixed
+``MultiPoly`` is a sparse polynomial over ``Fraction`` in the five fixed
 indeterminates ``X``, ``La``, ``Lb``, ``Lc``, ``Y``.  ``La``, ``Lb``, ``Lc``
 stand for the formal logarithms of three positive parameters a, b, c, kept
 symbolic so identities can be checked exactly; ``X`` is the polynomial
@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, perm
 from typing import Iterator, Mapping, Union
 
 __all__ = [
-    "Rational",
     "MultiPoly",
     "VARIABLES",
     "X",
@@ -52,8 +51,6 @@ __all__ = [
     "format_poly",
     "parse_poly",
 ]
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 PolyLike = Union["MultiPoly", int, Fraction]
@@ -79,7 +76,7 @@ def _as_fraction(value) -> Scalar:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial in X, La, Lb, Lc, Y over Rational."""
+    """Immutable sparse polynomial in X, La, Lb, Lc, Y over Fraction."""
 
     __slots__ = ("_num", "_den")
 
@@ -155,12 +152,19 @@ class MultiPoly:
     def coefficient(self, exps: tuple) -> Fraction:
         return Fraction(self._num.get(tuple(exps), 0), self._den)
 
-    def diff(self, name: str) -> "MultiPoly":
-        """The derivative in ``name``: each term's exponent drops by one."""
+    def diff(self, name: str, order: int = 1) -> "MultiPoly":
+        """The ``order``-th derivative in ``name``, in one pass.
+
+        A term of exponent ``e`` drops to ``e - order`` with the falling
+        factorial ``perm(e, order)`` as its weight, and vanishes for
+        ``e < order``.
+        """
         idx = _index(name)
+        if not isinstance(order, int) or order < 0:
+            raise ValueError(f"derivative order must be a non-negative integer, got {order!r}")
         return MultiPoly._from_parts({
-            exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]: exps[idx] * c
-            for exps, c in self._num.items() if exps[idx]
+            exps[:idx] + (exps[idx] - order,) + exps[idx + 1:]: perm(exps[idx], order) * c
+            for exps, c in self._num.items() if exps[idx] >= order
         }, self._den)
 
     def integrate(self, name: str) -> "MultiPoly":
@@ -253,7 +257,7 @@ class MultiPoly:
         """Replace indeterminates by polynomials (or scalars).
 
         Unbound indeterminates pass through untouched, and all bindings apply
-        at once.  Binding values may be ``MultiPoly``, ``int`` or ``Rational``.
+        at once.  Binding values may be ``MultiPoly``, ``int`` or ``Fraction``.
         Terms are grouped by their exponents of the bound names, so each
         product of powers multiplies one group, and every product is summed
         into one numerator map as it is produced.
@@ -333,7 +337,7 @@ Y = MultiPoly.variable("Y")
 
 
 def as_poly(value: PolyLike) -> MultiPoly:
-    """Coerce an int or Rational to a constant polynomial; pass polynomials through."""
+    """Coerce an int or Fraction to a constant polynomial; pass polynomials through."""
     p = MultiPoly._coerce(value)
     if p is None:
         raise TypeError(f"cannot interpret {value!r} as a polynomial")

@@ -156,10 +156,7 @@ def pb_derivative(n: int, k: int, l: int) -> MultiPoly:
     """
     if l < 0:
         raise ValueError("the derivative count must be non-negative")
-    p = gen_pb_poly(n, k)
-    for _ in range(l):
-        p = p.diff("X")
-    return p
+    return gen_pb_poly(n, k).diff("X", l)
 
 
 def pb_definite_integral(n: int, k: int, alpha: PolyLike, beta: PolyLike) -> MultiPoly:

@@ -3,16 +3,25 @@
 A :class:`PowerSeries` stores the coefficients ``c_0 .. c_N`` of one series in
 ``t``; ``N`` is the (inclusive) truncation order and is always explicit.
 Combining two series truncates to the smaller order, and nothing ever extends
-an order silently.  Coefficients may be ``Rational`` or ``MultiPoly``, and
-the ring operations, division and calculus mix the two freely, since the
-polynomial type absorbs rational scalars.  Composition is the exception: it
-runs on integers and takes rational coefficients only.
+an order silently.
+
+A series is stored the way a ``MultiPoly`` is: a tuple of numerators over one
+positive common denominator, with the content they share with it divided out
+by one ``gcd`` (``PowerSeries._from_parts``), so equal series have equal
+storage and equality is a plain comparison.  A numerator is an ``int``, or an
+integer-coefficient ``MultiPoly`` where a coefficient is a polynomial (as in
+``e^{X t}``); a coefficient given as a ``MultiPoly`` stays one, even when it
+is constant.  Both kinds go through the same loops.  Ring operations,
+division, composition and the constructors run on these numerators;
+``Fraction``s are built only at the edges: ``coeffs``, ``coefficient`` and
+``format_series``.
 
 Division is valuation-aware: numerator and denominator are both shifted down
 by the denominator's valuation before the usual recurrence runs, so quotients
 like ``t^2 / t`` work without any rational-function machinery.  The shifted
-leading coefficient must be an invertible scalar (a nonzero Rational, or a
-polynomial that is a nonzero rational constant).
+leading coefficient must be an invertible scalar (a nonzero Fraction, or a
+polynomial that is a nonzero rational constant).  Composition takes rational
+coefficients only.
 
 The generating-function constructors at the bottom build the series whose
 normalized coefficients are poly-Bernoulli numbers: the two-parameter series
@@ -42,33 +51,72 @@ __all__ = [
 ]
 
 Coeff = Union[Fraction, MultiPoly]
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+Numerator = Union[int, MultiPoly]
 
 
-def _as_coeff(value) -> Coeff:
+def _split(value) -> tuple[Numerator, int]:
+    """A coefficient as an integer numerator over a positive denominator."""
+    if isinstance(value, int):
+        return value, 1
     if isinstance(value, MultiPoly):
-        return value
-    return Fraction(value)
+        return MultiPoly._from_parts(value._num, 1), value._den
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _integers(num: Sequence[Numerator]):
+    """Every integer the numerators are made of."""
+    for c in num:
+        if isinstance(c, MultiPoly):
+            yield from c._num.values()
+        else:
+            yield c
+
+
+def _exact_div(c: Numerator, g: int) -> Numerator:
+    """``c / g`` for a ``g`` that divides every integer of ``c``."""
+    if isinstance(c, MultiPoly):
+        return MultiPoly._from_parts({e: v // g for e, v in c._num.items()}, 1)
+    return c // g
 
 
 class PowerSeries:
     """Immutable truncated series ``c_0 + c_1 t + ... + c_N t^N + O(t^{N+1})``."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Sequence):
-        cs = tuple(_as_coeff(c) for c in coeffs)
-        if not cs:
+        parts = [_split(c) for c in coeffs]
+        if not parts:
             raise ValueError("a series needs at least its constant coefficient")
-        self._coeffs = cs
+        # over the lcm of the reduced denominators, no content is left to divide out
+        den = lcm(*(d for _, d in parts))
+        self._num = tuple(n if d == den else n * (den // d) for n, d in parts)
+        self._den = den
+
+    @classmethod
+    def _from_parts(cls, num: Sequence[Numerator], den: int) -> "PowerSeries":
+        """``num / den`` in canonical form, with the content shared with ``den`` divided out.
+
+        Internal fast path: ``num`` holds ints and integer-coefficient
+        ``MultiPoly``s, and ``den`` is positive.
+        """
+        if den != 1:
+            g = gcd(den, *_integers(num))
+            if g != 1:
+                num = [_exact_div(c, g) for c in num]
+                den //= g
+        obj = object.__new__(cls)
+        obj._num = tuple(num)
+        obj._den = den
+        return obj
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value, order: int) -> "PowerSeries":
         _check_order(order)
-        return cls((value,) + (_F0,) * order)
+        return cls((value,) + (0,) * order)
 
     @classmethod
     def identity(cls, order: int) -> "PowerSeries":
@@ -76,60 +124,62 @@ class PowerSeries:
         _check_order(order)
         if order < 1:
             raise ValueError("the identity series needs order >= 1")
-        return cls((_F0, _F1) + (_F0,) * (order - 1))
+        return cls((0, 1) + (0,) * (order - 1))
 
     # -- structure ---------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        return tuple(_coeff(c, self._den) for c in self._num)
 
     def coefficient(self, n: int) -> Coeff:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self._coeffs[n]
+        return _coeff(self._num[n], self._den)
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient; order + 1 if all are zero."""
-        for i, c in enumerate(self._coeffs):
-            if c != 0:
+        for i, c in enumerate(self._num):
+            if c:
                 return i
         return self.order + 1
 
     def __eq__(self, other):
+        # canonical storage: equal series have equal numerators and denominator
         if isinstance(other, PowerSeries):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, PowerSeries):
-            n = min(self.order, other.order)
-            return PowerSeries(
-                tuple(a + b for a, b in zip(self._coeffs[: n + 1], other._coeffs[: n + 1]))
-            )
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            head = self._coeffs[0] + other
-            return PowerSeries((head,) + self._coeffs[1:])
-        return NotImplemented
+        other = _as_series(other, self.order)
+        if other is None:
+            return NotImplemented
+        n = min(self.order, other.order) + 1
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        return PowerSeries._from_parts(
+            [a * sa + b * sb for a, b in zip(self._num[:n], other._num[:n])], den
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries(tuple(-c for c in self._coeffs))
+        return PowerSeries._from_parts([-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (PowerSeries, int, Fraction, MultiPoly)):
-            return self + (-other if isinstance(other, PowerSeries) else -_as_coeff(other))
-        return NotImplemented
+        other = _as_series(other, self.order)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
@@ -139,30 +189,43 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
-            a, b = self._coeffs, other._coeffs
-            out = []
-            for m in range(n + 1):
-                acc = _F0
-                for i in range(m + 1):
-                    acc = acc + a[i] * b[m - i]
-                out.append(acc)
-            return PowerSeries(out)
+            a, rev = self._num, other._num[n::-1]
+            return PowerSeries._from_parts(
+                [sum(map(mul, a[: m + 1], rev[n - m :])) for m in range(n + 1)],
+                self._den * other._den,
+            )
         if isinstance(other, (int, Fraction, MultiPoly)):
-            s = _as_coeff(other)
-            return PowerSeries(tuple(c * s for c in self._coeffs))
+            s, d = _split(other)
+            return PowerSeries._from_parts([c * s for c in self._num], self._den * d)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def integrate(self) -> "PowerSeries":
         """Termwise integral from 0; the order grows by one (exactly known)."""
-        out = [_F0]
-        for i, c in enumerate(self._coeffs):
-            out.append(c * Fraction(1, i + 1))
-        return PowerSeries(out)
+        scale = lcm(*range(1, len(self._num) + 1))
+        return PowerSeries._from_parts(
+            [0] + [c * (scale // (i + 1)) for i, c in enumerate(self._num)], self._den * scale
+        )
 
     def __repr__(self):
         return f"PowerSeries({format_series(self)!r})"
+
+
+def _as_series(value, order: int) -> PowerSeries | None:
+    """A series, or a scalar or polynomial as a constant series of ``order``."""
+    if isinstance(value, PowerSeries):
+        return value
+    if isinstance(value, (int, Fraction, MultiPoly)):
+        return PowerSeries.constant(value, order)
+    return None
+
+
+def _coeff(c: Numerator, den: int) -> Coeff:
+    """One coefficient, ``c / den``, as a Fraction or a MultiPoly."""
+    if isinstance(c, MultiPoly):
+        return MultiPoly._from_parts(c._num, den)
+    return Fraction(c, den)
 
 
 def _check_order(order: int) -> None:
@@ -170,16 +233,13 @@ def _check_order(order: int) -> None:
         raise ValueError(f"truncation order must be a non-negative integer, got {order!r}")
 
 
-def _unit_inverse(c) -> Fraction:
-    """Multiplicative inverse of an invertible scalar coefficient."""
+def _unit(c: Numerator) -> int:
+    """The value of a nonzero leading numerator, which must be a scalar."""
     if isinstance(c, MultiPoly):
-        try:
-            c = c.constant_value()
-        except ValueError:
-            raise ValueError("leading coefficient not a unit") from None
-    if c == 0:
-        raise ValueError("leading coefficient not a unit")
-    return _F1 / Fraction(c)
+        if not c.is_constant():
+            raise ValueError("leading coefficient not a unit")
+        c = sum(c._num.values())  # its constant term, the only one
+    return c
 
 
 def ps_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
@@ -190,25 +250,39 @@ def ps_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
     otherwise), and the shifted denominator must start with an invertible
     scalar ("leading coefficient not a unit" otherwise).  The result's order
     is ``min(num.order, den.order) - v``.
+
+    The recurrence runs on the operands' numerators, which gives the quotient
+    up to the scalar ``den._den / num._den``.  The quotient is one numerator
+    vector over one running denominator; a step's value is reduced, and the
+    running denominator is rescaled only when the step's reduced denominator
+    does not divide it.
     """
     v = den.valuation()
     if v > den.order:
         raise ValueError("division by the zero series")
     if num.valuation() < v:
         raise ValueError("non-series quotient: numerator valuation below denominator's")
-    a = num.coeffs[v:]
-    b = den.coeffs[v:]
     n_out = min(num.order, den.order) - v
     if n_out < 0:
         raise ValueError("insufficient order to form the quotient")
-    inv = _unit_inverse(b[0])
+    a, b, scale = num._num[v:], den._num[v:], den._den
+    lead = _unit(b[0])
+    if lead < 0:
+        lead, b, scale = -lead, [-c for c in b], -scale
     q: list = []
+    q_den = 1
     for m in range(n_out + 1):
-        acc = a[m] if m < len(a) else _F0
-        for i in range(m):
-            acc = acc - q[i] * b[m - i]
-        q.append(acc * inv)
-    return PowerSeries(q)
+        # q_m = (a_m - sum_{i<m} q_i b_{m-i}) / b_0, with q_i = q[i] / q_den
+        step = a[m] * q_den - sum(map(mul, q, b[m:0:-1]))
+        step_den = q_den * lead
+        g = gcd(step_den, *_integers((step,)))
+        step, step_den = _exact_div(step, g), step_den // g
+        if q_den % step_den:
+            grow = step_den // gcd(q_den, step_den)
+            q = [c * grow for c in q]
+            q_den *= grow
+        q.append(step * (q_den // step_den))
+    return PowerSeries._from_parts([c * scale for c in q], q_den * num._den)
 
 
 def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
@@ -217,62 +291,67 @@ def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     Both series must have rational coefficients (a ``MultiPoly`` coefficient
     raises ``ValueError``); the result has the smaller of the two orders.
 
-    Horner's scheme from the top coefficient down, on integers: ``inner`` is
-    put over one common denominator once, and the running value is an integer
-    vector over a single denominator, with its content divided out each step.
-    Since ``inner`` has no constant term, the value at step ``j`` is only needed
-    to order ``n - j`` (``n`` being the result's order), so each step is a
+    Horner's scheme from the top coefficient down, on the stored numerators:
+    with ``outer`` and ``inner`` each over its own denominator, the running
+    value is ``outer``'s denominator times the partial sum, an integer vector
+    over a single denominator, with its content divided out each step.  Since
+    ``inner`` has no constant term, the value at step ``j`` is only needed to
+    order ``n - j`` (``n`` being the result's order), so each step is a
     truncated, shifted convolution.
     """
-    if inner.coeffs[0] != 0:
+    if inner._num[0] != 0:
         raise ValueError("composition requires an inner series with zero constant term")
-    if any(isinstance(c, MultiPoly) for c in outer.coeffs + inner.coeffs):
+    if any(isinstance(c, MultiPoly) for c in outer._num + inner._num):
         raise ValueError("composition requires rational coefficients")
     n = min(outer.order, inner.order)
-    inner_den = lcm(*(c.denominator for c in inner.coeffs[1 : n + 1]))
-    inner_num = [c.numerator * (inner_den // c.denominator) for c in inner.coeffs[1 : n + 1]]
-    top = outer.coeffs[n]
-    num, den = [top.numerator], top.denominator
-    for j in range(n - 1, -1, -1):
-        # outer_j + inner * value, to order n - j; value is known to order n - j - 1
-        c = outer.coeffs[j]
-        step_den = lcm(inner_den * den, c.denominator)
-        scale = step_den // (inner_den * den)
+    inner_num, inner_den = inner._num[1 : n + 1], inner._den
+    num, den = [outer._num[n]], 1
+    for c in reversed(outer._num[:n]):
+        # c + inner * value, to order n - j; value is known to order n - j - 1
+        step_den = inner_den * den
         rev = num[::-1]
-        num = [c.numerator * (step_den // c.denominator)] + [
-            scale * sum(map(mul, inner_num[:m], rev[-m:])) for m in range(1, len(rev) + 1)
+        num = [c * step_den] + [
+            sum(map(mul, inner_num[:m], rev[-m:])) for m in range(1, len(rev) + 1)
         ]
         g = gcd(step_den, *num)
         den = step_den // g
         num = [a // g for a in num]
-    return PowerSeries([Fraction(a, den) for a in num])
+    return PowerSeries._from_parts(num, den * outer._den)
 
 
 def ps_exp_linear(c, order: int) -> PowerSeries:
     """The exponential ``e^{c t}`` truncated at ``order``.
 
-    ``c`` may be a Rational or a MultiPoly (e.g. ``X*Lc``), so parameterized
-    exponentials like ``c^{x t}`` stay exact.
+    ``c`` may be a Fraction or a MultiPoly (e.g. ``X*Lc``), so parameterized
+    exponentials like ``c^{x t}`` stay exact.  With ``c = p/q``, the
+    coefficient of ``t^n`` is ``p^n q^{N-n} N!/n!`` over ``q^N N!``.
     """
     _check_order(order)
-    c = _as_coeff(c)
-    coeffs = [_F1]
-    for n in range(1, order + 1):
-        coeffs.append(coeffs[-1] * c * Fraction(1, n))
-    return PowerSeries(coeffs)
+    p, q = _split(c)
+    num = [1]
+    for _ in range(order):
+        num.append(num[-1] * p)
+    weight = 1  # q^(N - n) N!/n!
+    for n in range(order, 0, -1):
+        num[n] = num[n] * weight
+        weight *= q * n
+    num[0] = weight
+    return PowerSeries._from_parts(num, weight)
 
 
 def polylog_series(k: int, order: int) -> PowerSeries:
     """The polylogarithm ``Li_k(z) = sum_{m>=1} z^m / m^k`` truncated at ``order``.
 
     Valid for every integer ``k``; negative ``k`` simply makes the
-    coefficients the integers ``m^{-k}``.
+    coefficients the integers ``m^{-k}``, and positive ``k`` puts them over
+    ``lcm(1..N)^k``.
     """
     _check_order(order)
-    coeffs = [_F0]
-    for m in range(1, order + 1):
-        coeffs.append(Fraction(m) ** (-k))
-    return PowerSeries(coeffs)
+    ms = range(1, order + 1)
+    if k <= 0:
+        return PowerSeries._from_parts([0] + [m**-k for m in ms], 1)
+    scale = lcm(*ms)
+    return PowerSeries._from_parts([0] + [(scale // m) ** k for m in ms], scale**k)
 
 
 def gen_pb_numbers_series(k: int, ln_a, ln_b, order: int) -> PowerSeries:
@@ -318,11 +397,11 @@ def gf_iterated_integral(k: int, order: int) -> PowerSeries:
         raise ValueError("the nested-integration form needs k >= 1")
     _check_order(order)
     m = order + 1
-    den = ps_exp_linear(_F1, m) - 1
+    den = ps_exp_linear(1, m) - 1
     s = ps_div(PowerSeries.identity(m), den)
     for _ in range(2, k + 1):
         s = ps_div(s.integrate(), den)
-    return ps_exp_linear(_F1, order) * s
+    return ps_exp_linear(1, order) * s
 
 
 # -- pretty printing -------------------------------------------------------

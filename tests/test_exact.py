@@ -150,6 +150,28 @@ def test_integrate_then_diff_is_identity_and_diff_obeys_leibniz(name, p, q):
     assert (p * q).diff(name) == p.diff(name) * q + p * q.diff(name)
 
 
+@pytest.mark.parametrize("name", VARIABLES)
+@given(polys(), st.integers(0, 4), st.integers(0, 6))
+@settings(max_examples=25)
+def test_higher_derivative_equals_repeated_first_derivatives(name, p, shift, order):
+    p = p * MultiPoly.variable(name) ** shift  # exponents up to 6, orders past them
+    repeated = p
+    for _ in range(order):
+        repeated = repeated.diff(name)
+    assert p.diff(name, order) == repeated
+
+
+def test_higher_derivative_examples_and_bad_order():
+    p = X**3 * LA + 2 * X * LC - 5
+    assert p.diff("X", 0) == p
+    assert p.diff("X", 2) == 6 * X * LA
+    assert p.diff("X", 3) == 6 * LA
+    assert p.diff("X", 4).is_zero()
+    for order in (-1, 1.5):
+        with pytest.raises(ValueError, match="derivative order"):
+            p.diff("X", order)
+
+
 def test_substitute_plain():
     p = X**2 + LB
     assert p.substitute({"X": 2}) == 4 + LB

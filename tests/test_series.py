@@ -130,6 +130,119 @@ def test_div_mul_round_trip(num, den):
     assert back.coeffs == num.coeffs[: n + 1]
 
 
+# -- the integer core against the one-Fraction-per-coefficient recurrences --
+
+
+def _reference_mul(a, b):
+    out = []
+    for m in range(min(len(a), len(b))):
+        acc = F(0)
+        for i in range(m + 1):
+            acc = acc + a[i] * b[m - i]
+        out.append(acc)
+    return out
+
+
+def _reference_div(a, b):
+    """The quotient recurrence, for a divisor whose leading coefficient is a unit."""
+    lead = b[0].constant_value() if isinstance(b[0], MultiPoly) else b[0]
+    inv = 1 / F(lead)
+    q = []
+    for m in range(min(len(a), len(b))):
+        acc = a[m]
+        for i in range(m):
+            acc = acc - q[i] * b[m - i]
+        q.append(acc * inv)
+    return q
+
+
+def _reference_exp_linear(c, order):
+    coeffs = [F(1)]
+    for n in range(1, order + 1):
+        coeffs.append(coeffs[-1] * c * F(1, n))
+    return coeffs
+
+
+def _reference_integrate(a):
+    return [F(0)] + [c * F(1, i + 1) for i, c in enumerate(a)]
+
+
+# denominators up to 10^6, so a quotient's running denominator must grow
+wide = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+wide_units = wide.filter(bool)
+poly_coeffs = st.builds(
+    lambda c0, c1, c2: c0 + c1 * LA + c2 * X * LB, wide, wide, wide
+)
+mixed = st.one_of(wide, poly_coeffs)
+
+
+@st.composite
+def wide_series(draw, coeffs=wide, min_order=0, max_order=8):
+    order = draw(st.integers(min_order, max_order))
+    return [draw(coeffs) for _ in range(order + 1)]
+
+
+def assert_matches(got, reference):
+    assert got.coeffs == tuple(reference)
+    assert got == PowerSeries(reference)
+
+
+@given(wide_series(mixed), wide_series(mixed))
+@settings(max_examples=60)
+def test_mul_matches_reference(a, b):
+    assert_matches(PowerSeries(a) * PowerSeries(b), _reference_mul(a, b))
+
+
+@given(wide_series(mixed), wide_units, wide_series(mixed, min_order=1))
+@example([F(1)] * 6, F(3), [F(0), F(1, 2), F(1, 5), F(1, 7), F(1, 11), F(1, 13)])
+@settings(max_examples=80)
+def test_div_matches_reference(a, lead, b):
+    b = [lead] + b[1:]
+    assert_matches(ps_div(PowerSeries(a), PowerSeries(b)), _reference_div(a, b))
+    b = [MultiPoly.constant(lead)] + b[1:]
+    assert_matches(ps_div(PowerSeries(a), PowerSeries(b)), _reference_div(a, b))
+
+
+@given(mixed, st.integers(0, 12))
+@settings(max_examples=40)
+def test_exp_linear_matches_reference(c, order):
+    assert_matches(ps_exp_linear(c, order), _reference_exp_linear(c, order))
+
+
+@given(wide_series(mixed))
+@settings(max_examples=40)
+def test_integrate_matches_reference(a):
+    assert_matches(PowerSeries(a).integrate(), _reference_integrate(a))
+
+
+@given(wide_series(mixed), wide_series(mixed))
+@settings(max_examples=60)
+def test_series_built_by_different_routes_compare_and_hash_equal(a, b):
+    a, b = PowerSeries(a), PowerSeries(b)
+    n = min(a.order, b.order)
+    a_n = PowerSeries(a.coeffs[: n + 1])
+    for x, y in [((a + b) - b, a_n), (-(-a), a), (a * b, b * a)]:
+        assert x == y
+        assert hash(x) == hash(y)
+
+
+@given(wide_series())
+@settings(max_examples=30)
+def test_constant_polynomial_coefficients_equal_fraction_coefficients(a):
+    as_polys = PowerSeries([MultiPoly.constant(c) for c in a])
+    assert as_polys == PowerSeries(a)
+    assert hash(as_polys) == hash(PowerSeries(a))
+
+
+@given(wide_series(mixed, max_order=6))
+@settings(max_examples=40)
+def test_div_by_a_polynomial_divisor_with_constant_lead_undoes_mul(a):
+    # d = 1 + La*t + Lb*t^2: a constant lead, polynomial coefficients after it
+    s = PowerSeries(a)
+    d = PowerSeries([MultiPoly.constant(1), LA, LB] + [0] * s.order)
+    assert ps_div(s * d, d) == s
+
+
 # -- composition -----------------------------------------------------------
 
 
