@@ -20,7 +20,11 @@ built only at the edges (``items``, ``coefficient``, ``constant_value``,
 ``format_poly`` and the value ``eval`` returns).
 
 Every power and every binomial sum in the closed forms is built by one
-routine here: ``powers`` and ``binomial_convolution``.
+routine here: ``powers`` and ``binomial_convolution``.  Every product, and
+every sum of products (``*``, ``substitute``, ``homogeneous_substitute`` and
+``binomial_convolution``), runs one multiply-accumulate kernel,
+``_add_product``: it adds ``weight * a * b`` straight into a running numerator
+map over one running denominator, so no polynomial is built per product.
 
 Everything here is immutable; operations return new objects, and values can
 be shared freely across threads.
@@ -31,6 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, gcd, lcm, perm
+from operator import mul
 from typing import Iterator, Mapping, Union
 
 __all__ = [
@@ -220,13 +225,8 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         out: dict[tuple, int] = {}
-        get = out.get
-        right = other._num.items()
-        for (a0, a1, a2, a3, a4), c1 in self._num.items():
-            for (b0, b1, b2, b3, b4), c2 in right:
-                key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
-                out[key] = get(key, 0) + c1 * c2
-        return MultiPoly._from_parts(out, self._den * other._den)
+        den = _add_product(out, 1, self, other)
+        return MultiPoly._from_parts(out, den)
 
     __rmul__ = __mul__
 
@@ -259,23 +259,34 @@ class MultiPoly:
         Unbound indeterminates pass through untouched, and all bindings apply
         at once.  Binding values may be ``MultiPoly``, ``int`` or ``Fraction``.
         Terms are grouped by their exponents of the bound names, so each
-        product of powers multiplies one group, and every product is summed
-        into one numerator map as it is produced.
+        product of powers multiplies one group.  The last power of a group
+        goes through the multiply-accumulate kernel ``_add_product``, which
+        adds the product straight into one numerator map.  The groups are
+        integer polynomials; the common denominator divides the sum once.
         """
-        bound = {_index(name): powers(v, self.degree(name)) for name, v in bindings.items()}
+        indices = tuple(map(_index, bindings))
+        free = tuple(0 if i in indices else 1 for i in range(len(VARIABLES)))
         groups: dict[tuple, dict[tuple, int]] = {}
         for exps, c in self._num.items():
-            residual = tuple(0 if i in bound else e for i, e in enumerate(exps))
-            groups.setdefault(tuple(exps[i] for i in bound), {})[residual] = c
+            key = tuple(map(exps.__getitem__, indices))
+            groups.setdefault(key, {})[tuple(map(mul, exps, free))] = c
+        # the degree of each bound name is the largest exponent among the keys
+        bound = [
+            powers(v, max((key[j] for key in groups), default=0))
+            for j, v in enumerate(bindings.values())
+        ]
         out: dict[tuple, int] = {}
         den = 1
         for key, residual_terms in groups.items():
-            group = MultiPoly._from_parts(residual_terms, self._den)
-            for pows, e in zip(bound.values(), key):
-                if e:
-                    group = group * pows[e]
-            den = _add_into(out, den, group._num, group._den)
-        return MultiPoly._from_parts(out, den)
+            factors = [pows[e] for pows, e in zip(bound, key) if e]
+            if not factors:
+                den = _add_into(out, den, residual_terms, 1)
+                continue
+            group = MultiPoly._from_parts(residual_terms, 1)
+            for factor in factors[:-1]:
+                group = group * factor
+            den = _add_product(out, den, group, factors[-1])
+        return MultiPoly._from_parts(out, den * self._den)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at an all-rational point.
@@ -310,22 +321,53 @@ class MultiPoly:
         return format_poly(self)
 
 
-def _add_into(out: dict[tuple, int], den: int, num: Mapping[tuple, int], d: int) -> int:
-    """Add ``num / d`` into the numerator map ``out`` over ``den``, in place.
+def _common_den(out: dict[tuple, int], den: int, d: int) -> int:
+    """Rescale the numerator map ``out`` over ``den`` so that ``d`` divides
+    its denominator, in place, and return that denominator.
 
-    ``out`` is rescaled only when ``d`` does not divide ``den``.  Returns the
-    denominator ``out`` is over afterwards.  Zero sums stay in ``out`` until
-    ``MultiPoly._from_parts`` drops them.
+    ``out`` is rescaled only when ``d`` does not divide ``den``.
     """
     if den % d:
         grow = d // gcd(den, d)
         for e in out:
             out[e] *= grow
         den *= grow
+    return den
+
+
+def _add_into(out: dict[tuple, int], den: int, num: Mapping[tuple, int], d: int) -> int:
+    """Add ``num / d`` into the numerator map ``out`` over ``den``, in place.
+
+    Returns the denominator ``out`` is over afterwards.  Zero sums stay in
+    ``out`` until ``MultiPoly._from_parts`` drops them.
+    """
+    den = _common_den(out, den, d)
     scale = den // d
     get = out.get
     for e, c in num.items():
         out[e] = get(e, 0) + c * scale
+    return den
+
+
+def _add_product(
+    out: dict[tuple, int], den: int, a: MultiPoly, b: MultiPoly, weight: int = 1
+) -> int:
+    """Add ``weight * a * b`` into the numerator map ``out`` over ``den``, in place.
+
+    The multiply-accumulate kernel: every product in the ring, and every sum
+    of products, runs this one loop, so no polynomial is built per product.
+    Returns the denominator ``out`` is over afterwards, as ``_add_into`` does.
+    """
+    d = a._den * b._den
+    den = _common_den(out, den, d)
+    scale = den // d * weight
+    get = out.get
+    right = b._num.items()
+    for (a0, a1, a2, a3, a4), c1 in a._num.items():
+        c1 *= scale
+        for (b0, b1, b2, b3, b4), c2 in right:
+            key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
+            out[key] = get(key, 0) + c1 * c2
     return den
 
 
@@ -365,12 +407,20 @@ def binomial_convolution(a, b):
     This is ``n!`` times the ``t^n`` coefficient of the product of the two
     exponential generating functions ``sum a_l t^l / l!`` and
     ``sum b_m t^m / m!``.  Entries may be polynomials or scalars; the sum
-    lives in whichever ring they do.
+    lives in whichever ring they do.  With a polynomial entry, each term
+    goes through the kernel ``_add_product`` with ``C(n, l)`` as its weight,
+    into one numerator map.
     """
     n = len(a) - 1
     if n < 0 or len(b) != len(a):
         raise ValueError(f"convolution needs equal non-empty lengths, got {len(a)}, {len(b)}")
-    return sum(comb(n, l) * a[l] * b[n - l] for l in range(n + 1))
+    if not any(isinstance(v, MultiPoly) for v in (*a, *b)):
+        return sum(comb(n, l) * a[l] * b[n - l] for l in range(n + 1))
+    out: dict[tuple, int] = {}
+    den = 1
+    for l in range(n + 1):
+        den = _add_product(out, den, as_poly(a[l]), as_poly(b[n - l]), comb(n, l))
+    return MultiPoly._from_parts(out, den)
 
 
 def homogeneous_substitute(p: MultiPoly, numerator: PolyLike, complement: PolyLike) -> MultiPoly:
@@ -378,19 +428,24 @@ def homogeneous_substitute(p: MultiPoly, numerator: PolyLike, complement: PolyLi
 
     With ``n`` the degree of ``p`` in ``X``, replace ``X`` by
     ``numerator / complement`` and multiply through by ``complement ** n``:
-    each term ``m * X^d``, with ``m`` free of ``X``, becomes
-    ``m * numerator^d * complement^(n - d)``, summed into one map.  No
+    the terms are grouped by their exponent ``d`` of ``X``, and each group
+    ``m * X^d``, with ``m`` free of ``X``, adds
+    ``m * numerator^d * complement^(n - d)`` into one numerator map, the last
+    product through the kernel ``_add_product``.  The groups are integer
+    polynomials; the denominator of ``p`` divides the sum once.  No
     rational-function arithmetic is involved at any point.
     """
     degree = p.degree("X")
     num_pows, comp_pows = powers(numerator, degree), powers(complement, degree)
+    groups: dict[int, dict[tuple, int]] = {}
+    for exps, c in p._num.items():
+        groups.setdefault(exps[0], {})[(0,) + exps[1:]] = c
     out: dict[tuple, int] = {}
     den = 1
-    for exps, c in p._num.items():
-        rest = MultiPoly._from_parts({(0,) + exps[1:]: c}, p._den)
-        term = rest * num_pows[exps[0]] * comp_pows[degree - exps[0]]
-        den = _add_into(out, den, term._num, term._den)
-    return MultiPoly._from_parts(out, den)
+    for d, rest in groups.items():
+        rest = MultiPoly._from_parts(rest, 1) * num_pows[d]
+        den = _add_product(out, den, rest, comp_pows[degree - d])
+    return MultiPoly._from_parts(out, den * p._den)
 
 
 # -- text round-trip -------------------------------------------------------

@@ -11,17 +11,17 @@ by one ``gcd`` (``PowerSeries._from_parts``), so equal series have equal
 storage and equality is a plain comparison.  A numerator is an ``int``, or an
 integer-coefficient ``MultiPoly`` where a coefficient is a polynomial (as in
 ``e^{X t}``); a coefficient given as a ``MultiPoly`` stays one, even when it
-is constant.  Both kinds go through the same loops.  Ring operations,
-division, composition and the constructors run on these numerators;
-``Fraction``s are built only at the edges: ``coeffs``, ``coefficient`` and
-``format_series``.
+is constant, and compares and hashes equal to its value.  Both kinds go
+through the same loops.  Ring operations, division, composition and the
+constructors run on these numerators; ``Fraction``s are built only at the
+edges: ``coeffs``, ``coefficient`` and ``format_series``.
 
 Division is valuation-aware: numerator and denominator are both shifted down
 by the denominator's valuation before the usual recurrence runs, so quotients
 like ``t^2 / t`` work without any rational-function machinery.  The shifted
 leading coefficient must be an invertible scalar (a nonzero Fraction, or a
 polynomial that is a nonzero rational constant).  Composition takes rational
-coefficients only.
+coefficients only; there too a constant polynomial counts as its value.
 
 The generating-function constructors at the bottom build the series whose
 normalized coefficients are poly-Bernoulli numbers: the two-parameter series
@@ -233,11 +233,13 @@ def _check_order(order: int) -> None:
         raise ValueError(f"truncation order must be a non-negative integer, got {order!r}")
 
 
-def _unit(c: Numerator) -> int:
-    """The value of a nonzero leading numerator, which must be a scalar."""
+def _scalar(c: Numerator, error: str) -> int:
+    """A numerator as an int; a polynomial that is not constant raises
+    ``ValueError(error)``.  The value decides, not the type: a constant
+    ``MultiPoly`` is its integer."""
     if isinstance(c, MultiPoly):
         if not c.is_constant():
-            raise ValueError("leading coefficient not a unit")
+            raise ValueError(error)
         c = sum(c._num.values())  # its constant term, the only one
     return c
 
@@ -266,7 +268,7 @@ def ps_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
     if n_out < 0:
         raise ValueError("insufficient order to form the quotient")
     a, b, scale = num._num[v:], den._num[v:], den._den
-    lead = _unit(b[0])
+    lead = _scalar(b[0], "leading coefficient not a unit")
     if lead < 0:
         lead, b, scale = -lead, [-c for c in b], -scale
     q: list = []
@@ -288,8 +290,9 @@ def ps_div(num: PowerSeries, den: PowerSeries) -> PowerSeries:
 def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     """Substitute ``inner`` (with zero constant term) into ``outer``.
 
-    Both series must have rational coefficients (a ``MultiPoly`` coefficient
-    raises ``ValueError``); the result has the smaller of the two orders.
+    Both series must have rational coefficients: a constant ``MultiPoly``
+    coefficient counts as its value, and one that is not constant raises
+    ``ValueError``.  The result has the smaller of the two orders.
 
     Horner's scheme from the top coefficient down, on the stored numerators:
     with ``outer`` and ``inner`` each over its own denominator, the running
@@ -301,12 +304,12 @@ def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     """
     if inner._num[0] != 0:
         raise ValueError("composition requires an inner series with zero constant term")
-    if any(isinstance(c, MultiPoly) for c in outer._num + inner._num):
-        raise ValueError("composition requires rational coefficients")
+    error = "composition requires rational coefficients"
     n = min(outer.order, inner.order)
-    inner_num, inner_den = inner._num[1 : n + 1], inner._den
-    num, den = [outer._num[n]], 1
-    for c in reversed(outer._num[:n]):
+    outer_num = [_scalar(c, error) for c in outer._num]
+    inner_num, inner_den = [_scalar(c, error) for c in inner._num][1 : n + 1], inner._den
+    num, den = [outer_num[n]], 1
+    for c in reversed(outer_num[:n]):
         # c + inner * value, to order n - j; value is known to order n - j - 1
         step_den = inner_den * den
         rev = num[::-1]

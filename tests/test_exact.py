@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -311,10 +312,19 @@ wide_points = st.fixed_dictionaries(
 )
 
 
-@given(wide_polys(), wide_polys())
+@given(wide_polys(), wide_polys(), wide_rationals.filter(bool))
 @settings(max_examples=60)
-def test_polynomials_built_by_different_routes_compare_and_hash_equal(p, q):
-    for a, b in [((p + q) - q, p), ((p - q) + q, p), (p * q, q * p), (-(-p), p)]:
+def test_polynomials_built_by_different_routes_compare_and_hash_equal(p, q, c):
+    n = p.degree("X")
+    for a, b in [
+        ((p + q) - q, p),
+        ((p - q) + q, p),
+        (p * q, q * p),
+        (-(-p), p),
+        (binomial_convolution(powers(p, 3), powers(q, 3)), (p + q) ** 3),
+        # X -> q / c with the denominator cleared, against substitute-and-multiply
+        (homogeneous_substitute(p, q, c), c**n * p.substitute({"X": q * (1 / c)})),
+    ]:
         assert a == b
         assert hash(a) == hash(b)
 
@@ -343,6 +353,121 @@ def test_content_cancels():
     p = F(1, 3) * X + F(5, 7) * LA - F(1, 10**6) * Y
     assert str(p - p) == "0"
     assert p - p == 0 and hash(p - p) == hash(0)
+
+
+# -- the multiply-accumulate kernel against term-by-term Fraction routines --
+
+
+def _fraction_terms(value):
+    return dict(as_poly(value).items())
+
+
+def _reference_product(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = out.get(key, F(0)) + ca * cb
+    return out
+
+
+def _reference_powers(value, n):
+    out = [{(0,) * len(VARIABLES): F(1)}]
+    for _ in range(n):
+        out.append(_reference_product(out[-1], _fraction_terms(value)))
+    return out
+
+
+def _reference_sum(term_maps):
+    out = {}
+    for terms in term_maps:
+        for e, c in terms.items():
+            out[e] = out.get(e, F(0)) + c
+    return MultiPoly(out)
+
+
+def _reference_substitute(p, bindings):
+    # one product of powers per term, each product its own term map
+    bound = {
+        VARIABLES.index(name): _reference_powers(v, p.degree(name)) for name, v in bindings.items()
+    }
+
+    def substituted(exps, c):
+        term = {tuple(0 if i in bound else e for i, e in enumerate(exps)): c}
+        for i, pows in bound.items():
+            term = _reference_product(term, pows[exps[i]])
+        return term
+
+    return _reference_sum(substituted(exps, c) for exps, c in p.items())
+
+
+def _reference_homogeneous_substitute(p, numerator, complement):
+    n = p.degree("X")
+    num_pows, comp_pows = _reference_powers(numerator, n), _reference_powers(complement, n)
+    return _reference_sum(
+        _reference_product(_reference_product({(0,) + exps[1:]: c}, num_pows[exps[0]]),
+                           comp_pows[n - exps[0]])
+        for exps, c in p.items()
+    )
+
+
+def _reference_convolution(a, b):
+    n = len(a) - 1
+    products = (
+        (comb(n, l), _reference_product(_fraction_terms(a[l]), _fraction_terms(b[n - l])))
+        for l in range(n + 1)
+    )
+    return _reference_sum({e: w * c for e, c in terms.items()} for w, terms in products)
+
+
+@st.composite
+def small_wide_polys(draw):
+    return MultiPoly(draw(st.dictionaries(exponents, wide_rationals, max_size=3)))
+
+
+# entries of a sum of products: polynomials, zero, and int and Fraction scalars
+entries = st.one_of(
+    small_wide_polys(),
+    st.just(0),
+    st.just(MultiPoly.constant(0)),
+    st.integers(-9, 9),
+    wide_rationals,
+    st.sampled_from([X, LA, LB, LC, Y]),
+)
+
+# several names at once, including bindings that swap indeterminates
+bindings = st.one_of(
+    st.dictionaries(st.sampled_from(VARIABLES), entries, min_size=1, max_size=3),
+    st.permutations(VARIABLES).map(
+        lambda names: {v: MultiPoly.variable(w) for v, w in zip(VARIABLES, names)}
+    ),
+)
+
+
+@given(wide_polys(), bindings)
+@settings(max_examples=80)
+def test_substitute_matches_reference(p, binding):
+    assert p.substitute(binding) == _reference_substitute(p, binding)
+
+
+@given(wide_polys(), entries, entries)
+@settings(max_examples=80)
+def test_homogeneous_substitute_matches_reference(p, numerator, complement):
+    got = homogeneous_substitute(p, numerator, complement)
+    assert got == _reference_homogeneous_substitute(p, numerator, complement)
+
+
+@given(st.lists(entries, min_size=1, max_size=6), st.data())
+@settings(max_examples=80)
+def test_binomial_convolution_matches_reference(a, data):
+    b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    assert binomial_convolution(a, b) == _reference_convolution(a, b)
+
+
+@given(wide_polys(), small_wide_polys())
+@settings(max_examples=60)
+def test_mul_matches_reference(p, q):
+    assert p * q == MultiPoly(_reference_product(_fraction_terms(p), _fraction_terms(q)))
 
 
 def _reference_eval(p, point):

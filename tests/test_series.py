@@ -315,8 +315,16 @@ def test_compose_polylog_matches_power_sum(k, s):
 def test_compose_rejects_polynomial_coefficients():
     with pytest.raises(ValueError, match="rational coefficients"):
         ps_compose(PowerSeries([F(1), LA]), series_of(0, 1))
-    with pytest.raises(ValueError, match="rational coefficients"):
-        ps_compose(series_of(1, 1), PowerSeries([F(0), MultiPoly.constant(1)]))
+    # a constant polynomial coefficient is its value: the series composes
+    # like its Fraction twin, which it already equals and hash-equals
+    outer, inner = series_of(1, "1/3", -2), series_of(0, "5/7", 1)
+    poly_outer, poly_inner = (
+        PowerSeries([MultiPoly.constant(c) for c in s.coeffs]) for s in (outer, inner)
+    )
+    expected = ps_compose(outer, inner)
+    for got in (ps_compose(outer, poly_inner), ps_compose(poly_outer, poly_inner)):
+        assert got == expected
+        assert hash(got) == hash(expected)
 
 
 # -- exp and calculus ------------------------------------------------------
