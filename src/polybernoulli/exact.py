@@ -20,11 +20,13 @@ built only at the edges (``items``, ``coefficient``, ``constant_value``,
 ``format_poly`` and the value ``eval`` returns).
 
 Every power and every binomial sum in the closed forms is built by one
-routine here: ``powers`` and ``binomial_convolution``.  Every product, and
-every sum of products (``*``, ``substitute``, ``homogeneous_substitute`` and
-``binomial_convolution``), runs one multiply-accumulate kernel,
-``_add_product``: it adds ``weight * a * b`` straight into a running numerator
-map over one running denominator, so no polynomial is built per product.
+routine here: ``powers`` and ``binomial_convolution``.  Every sum, difference,
+product and sum of products (``+``, ``-``, ``*``, ``substitute``,
+``homogeneous_substitute`` and ``binomial_convolution``) runs one
+multiply-accumulate kernel, ``_add_product``: it adds ``weight * a * b``
+straight into a running numerator map over one running denominator, so no
+polynomial is built per product.  A sum ``a + weight * b`` is the product
+``1 * b`` added into a copy of ``a``.
 
 Everything here is immutable; operations return new objects, and values can
 be shared freely across threads.
@@ -195,13 +197,7 @@ class MultiPoly:
         other = MultiPoly._coerce(other)
         if other is None:
             return NotImplemented
-        if not other._num:
-            return self
-        if not self._num:
-            return other
-        out = dict(self._num)
-        den = _add_into(out, self._den, other._num, other._den)
-        return MultiPoly._from_parts(out, den)
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
@@ -212,13 +208,13 @@ class MultiPoly:
         other = MultiPoly._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _plus(self, other, -1)
 
     def __rsub__(self, other):
         other = MultiPoly._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _plus(other, self, -1)
 
     def __mul__(self, other):
         other = MultiPoly._coerce(other)
@@ -259,10 +255,11 @@ class MultiPoly:
         Unbound indeterminates pass through untouched, and all bindings apply
         at once.  Binding values may be ``MultiPoly``, ``int`` or ``Fraction``.
         Terms are grouped by their exponents of the bound names, so each
-        product of powers multiplies one group.  The last power of a group
-        goes through the multiply-accumulate kernel ``_add_product``, which
-        adds the product straight into one numerator map.  The groups are
-        integer polynomials; the common denominator divides the sum once.
+        product of powers multiplies one group.  The last power of a group,
+        or ``1`` for a group with no bound name, goes through the
+        multiply-accumulate kernel ``_add_product``, which adds the product
+        straight into one numerator map.  The groups are integer
+        polynomials; the common denominator divides the sum once.
         """
         indices = tuple(map(_index, bindings))
         free = tuple(0 if i in indices else 1 for i in range(len(VARIABLES)))
@@ -278,10 +275,7 @@ class MultiPoly:
         out: dict[tuple, int] = {}
         den = 1
         for key, residual_terms in groups.items():
-            factors = [pows[e] for pows, e in zip(bound, key) if e]
-            if not factors:
-                den = _add_into(out, den, residual_terms, 1)
-                continue
+            factors = [pows[e] for pows, e in zip(bound, key) if e] or [_ONE]
             group = MultiPoly._from_parts(residual_terms, 1)
             for factor in factors[:-1]:
                 group = group * factor
@@ -291,19 +285,21 @@ class MultiPoly:
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at an all-rational point.
 
-        Every indeterminate that actually occurs must be bound; a missing one
-        raises ValueError naming it.  A value ``p/q`` of an indeterminate of
-        degree ``D`` enters a term of exponent ``e`` as ``p^e q^(D - e)``, so
-        the sum runs on integers over the denominator ``den * q^D * ...``.
+        Every indeterminate that actually occurs must be bound; a missing one,
+        or a name outside ``VARIABLES``, raises ValueError naming it.  A value
+        ``p/q`` of an indeterminate of degree ``D`` enters a term of exponent
+        ``e`` as ``p^e q^(D - e)``, so the sum runs on integers over the
+        denominator ``den * q^D * ...``.
         """
+        values = {_index(name): value for name, value in point.items()}
         den = self._den
         tables = []
         for name, idx in _VAR_INDEX.items():
             degree = self.degree(name)
             if degree:
-                if name not in point:
+                if idx not in values:
                     raise ValueError(f"unbound indeterminate: {name}")
-                value = _as_fraction(point[name])
+                value = _as_fraction(values[idx])
                 p, q = value.numerator, value.denominator
                 tables.append((idx, [p**e * q ** (degree - e) for e in range(degree + 1)]))
                 den *= q**degree
@@ -321,45 +317,23 @@ class MultiPoly:
         return format_poly(self)
 
 
-def _common_den(out: dict[tuple, int], den: int, d: int) -> int:
-    """Rescale the numerator map ``out`` over ``den`` so that ``d`` divides
-    its denominator, in place, and return that denominator.
-
-    ``out`` is rescaled only when ``d`` does not divide ``den``.
-    """
-    if den % d:
-        grow = d // gcd(den, d)
-        for e in out:
-            out[e] *= grow
-        den *= grow
-    return den
-
-
-def _add_into(out: dict[tuple, int], den: int, num: Mapping[tuple, int], d: int) -> int:
-    """Add ``num / d`` into the numerator map ``out`` over ``den``, in place.
-
-    Returns the denominator ``out`` is over afterwards.  Zero sums stay in
-    ``out`` until ``MultiPoly._from_parts`` drops them.
-    """
-    den = _common_den(out, den, d)
-    scale = den // d
-    get = out.get
-    for e, c in num.items():
-        out[e] = get(e, 0) + c * scale
-    return den
-
-
 def _add_product(
     out: dict[tuple, int], den: int, a: MultiPoly, b: MultiPoly, weight: int = 1
 ) -> int:
     """Add ``weight * a * b`` into the numerator map ``out`` over ``den``, in place.
 
-    The multiply-accumulate kernel: every product in the ring, and every sum
-    of products, runs this one loop, so no polynomial is built per product.
-    Returns the denominator ``out`` is over afterwards, as ``_add_into`` does.
+    The multiply-accumulate kernel: every sum and product in the ring, and
+    every sum of products, runs this one loop, so no polynomial is built per
+    product.  ``out`` is rescaled first when the product's denominator does
+    not divide ``den``.  Returns the denominator ``out`` is over afterwards;
+    zero sums stay in ``out`` until ``MultiPoly._from_parts`` drops them.
     """
     d = a._den * b._den
-    den = _common_den(out, den, d)
+    if den % d:
+        grow = d // gcd(den, d)
+        for e in out:
+            out[e] *= grow
+        den *= grow
     scale = den // d * weight
     get = out.get
     right = b._num.items()
@@ -376,6 +350,15 @@ LA = MultiPoly.variable("La")
 LB = MultiPoly.variable("Lb")
 LC = MultiPoly.variable("Lc")
 Y = MultiPoly.variable("Y")
+_ONE = MultiPoly.constant(1)
+
+
+def _plus(a: MultiPoly, b: MultiPoly, weight: int) -> MultiPoly:
+    """``a + weight * b``: the product ``1 * b`` added into a copy of ``a``."""
+    out = dict(a._num)
+    # the one-term factor goes first, so the kernel's inner loop runs over b
+    den = _add_product(out, a._den, _ONE, b, weight)
+    return MultiPoly._from_parts(out, den)
 
 
 def as_poly(value: PolyLike) -> MultiPoly:
@@ -395,7 +378,7 @@ def powers(base: PolyLike, n: int) -> list[MultiPoly]:
     if not isinstance(n, int) or n < 0:
         raise ValueError("polynomial exponent must be a non-negative integer")
     base = as_poly(base)
-    out = [MultiPoly.constant(1), base][: n + 1]
+    out = [_ONE, base][: n + 1]
     while len(out) <= n:
         out.append(out[-1] * base)
     return out
@@ -406,16 +389,13 @@ def binomial_convolution(a, b):
 
     This is ``n!`` times the ``t^n`` coefficient of the product of the two
     exponential generating functions ``sum a_l t^l / l!`` and
-    ``sum b_m t^m / m!``.  Entries may be polynomials or scalars; the sum
-    lives in whichever ring they do.  With a polynomial entry, each term
-    goes through the kernel ``_add_product`` with ``C(n, l)`` as its weight,
-    into one numerator map.
+    ``sum b_m t^m / m!``.  Entries may be polynomials or scalars, and the
+    result is always a ``MultiPoly``.  Each term goes through the kernel
+    ``_add_product`` with ``C(n, l)`` as its weight, into one numerator map.
     """
     n = len(a) - 1
     if n < 0 or len(b) != len(a):
         raise ValueError(f"convolution needs equal non-empty lengths, got {len(a)}, {len(b)}")
-    if not any(isinstance(v, MultiPoly) for v in (*a, *b)):
-        return sum(comb(n, l) * a[l] * b[n - l] for l in range(n + 1))
     out: dict[tuple, int] = {}
     den = 1
     for l in range(n + 1):

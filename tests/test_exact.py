@@ -209,6 +209,9 @@ def test_eval_requires_occurring_bindings():
     assert p.eval({"X": 2, "La": F(1, 2)}) == 1
     with pytest.raises(ValueError, match="Lb"):
         (p + LB).eval({"X": 2, "La": 1})
+    # a name outside VARIABLES is an error, as in substitute, degree, diff and integrate
+    with pytest.raises(ValueError, match="unknown indeterminate: x"):
+        (LA + 1).eval({"La": 2, "x": 5})
     # unused indeterminates need no binding
     assert MultiPoly.constant(5).eval({}) == 5
 
@@ -237,6 +240,10 @@ def test_binomial_convolution_examples():
     # (X + LB)^3 is the convolution of the powers of X with the powers of LB
     assert binomial_convolution(powers(X, 3), powers(LB, 3)) == (X + LB) ** 3
     assert binomial_convolution([1, 1, 1], [1, 1, 1]) == 4  # e^t * e^t = e^{2t}
+    # scalar entries give a polynomial, equal and hash-equal to the scalar sum
+    scalar = binomial_convolution([F(1, 2), 3], [-1, F(2, 3)])
+    assert isinstance(scalar, MultiPoly)
+    assert scalar == F(-8, 3) and hash(scalar) == hash(F(-8, 3))
     assert binomial_convolution([F(1, 2)], [X]) == F(1, 2) * X
     assert binomial_convolution([X, 0, 0], [0, 0, LC]) == X * LC
 
@@ -378,6 +385,10 @@ def _reference_powers(value, n):
     return out
 
 
+def _reference_negated(terms):
+    return {e: -c for e, c in terms.items()}
+
+
 def _reference_sum(term_maps):
     out = {}
     for terms in term_maps:
@@ -464,10 +475,22 @@ def test_binomial_convolution_matches_reference(a, data):
     assert binomial_convolution(a, b) == _reference_convolution(a, b)
 
 
-@given(wide_polys(), small_wide_polys())
+@given(wide_polys(), wide_polys(), st.one_of(st.integers(-9, 9), wide_rationals))
 @settings(max_examples=60)
-def test_mul_matches_reference(p, q):
-    assert p * q == MultiPoly(_reference_product(_fraction_terms(p), _fraction_terms(q)))
+def test_ring_operations_match_reference(p, q, c):
+    # wide denominators, so the kernel often rescales the running numerator map
+    tp, tq, tc = _fraction_terms(p), _fraction_terms(q), _fraction_terms(c)
+    for got, terms in [
+        (p * q, [_reference_product(tp, tq)]),
+        (p + q, [tp, tq]),
+        (p - q, [tp, _reference_negated(tq)]),
+        (q - p, [tq, _reference_negated(tp)]),
+        (c - p, [tc, _reference_negated(tp)]),
+        (p - c, [tp, _reference_negated(tc)]),
+        (p + c, [tp, tc]),
+        (c + p, [tc, tp]),
+    ]:
+        assert got == _reference_sum(terms)
 
 
 def _reference_eval(p, point):

@@ -2,12 +2,12 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from polybernoulli import numbers
-from polybernoulli.exact import X, binomial_convolution, poly_eval
+from polybernoulli.exact import X, poly_eval
 from polybernoulli.numbers import (
     PolyBernoulliCache,
     classical_bernoulli,
@@ -27,7 +27,7 @@ def stirling2_explicit(n, m):
     ``S(n, m) = (-1)^m / m! * sum_{l=0}^{m} (-1)^l C(m, l) l^n`` with the
     ``0^0 = 1`` convention at l = n = 0.
     """
-    acc = binomial_convolution([(-1) ** l * l**n for l in range(m + 1)], [1] * (m + 1))
+    acc = sum(comb(m, l) * (-1) ** l * l**n for l in range(m + 1))
     value = Fraction((-1) ** m * acc, factorial(m))
     assert value.denominator == 1, "alternating sum did not produce an integer"
     return value.numerator
