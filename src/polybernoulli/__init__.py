@@ -6,7 +6,7 @@ carried through their formal logarithms as polynomial indeterminates, so
 every comparison in the package is an exact equality.
 """
 
-from .exact import LA, LB, LC, MultiPoly, X, format_poly, parse_poly
+from .exact import LA, LB, LC, MultiPoly, X, format_poly
 from .generalized import (
     gen_pb_numbers,
     gen_pb_poly,
@@ -44,7 +44,6 @@ __all__ = [
     "gen_pb_poly",
     "gf_iterated_integral",
     "gf_poly_bernoulli",
-    "parse_poly",
     "pb_definite_integral",
     "pb_derivative",
     "poly_bernoulli",

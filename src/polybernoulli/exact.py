@@ -56,7 +56,6 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "format_poly",
-    "parse_poly",
 ]
 
 Scalar = Union[int, Fraction]
@@ -65,8 +64,6 @@ PolyLike = Union["MultiPoly", int, Fraction]
 VARIABLES = ("X", "La", "Lb", "Lc", "Y")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _ZERO_EXPS = (0,) * len(VARIABLES)
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _index(name: str) -> int:
@@ -78,8 +75,14 @@ def _index(name: str) -> int:
 
 
 def _as_fraction(value) -> Scalar:
-    """``value`` as an int or Fraction, whose numerator and denominator are reduced."""
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+    """``value`` unchanged if it is an int or Fraction; TypeError for anything else.
+
+    The one scalar coercion: a float or a string would enter as its binary
+    or parsed value, so neither is accepted.
+    """
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"not an exact rational: {value!r}")
 
 
 class MultiPoly:
@@ -88,12 +91,12 @@ class MultiPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
-        coeffs: dict[tuple, Fraction] = {}
+        coeffs: dict[tuple, Scalar] = {}
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)
             if len(key) != len(VARIABLES) or any(not isinstance(e, int) or e < 0 for e in key):
                 raise ValueError(f"bad exponent vector: {exps!r}")
-            c = Fraction(coeff)
+            c = _as_fraction(coeff)
             if c:
                 coeffs[key] = c
         # over the lcm of the reduced denominators, no content is left to divide out
@@ -286,12 +289,13 @@ class MultiPoly:
         """Evaluate at an all-rational point.
 
         Every indeterminate that actually occurs must be bound; a missing one,
-        or a name outside ``VARIABLES``, raises ValueError naming it.  A value
+        or a name outside ``VARIABLES``, raises ValueError naming it, and a
+        value that is not an int or Fraction raises TypeError.  A value
         ``p/q`` of an indeterminate of degree ``D`` enters a term of exponent
         ``e`` as ``p^e q^(D - e)``, so the sum runs on integers over the
         denominator ``den * q^D * ...``.
         """
-        values = {_index(name): value for name, value in point.items()}
+        values = {_index(name): _as_fraction(value) for name, value in point.items()}
         den = self._den
         tables = []
         for name, idx in _VAR_INDEX.items():
@@ -299,7 +303,7 @@ class MultiPoly:
             if degree:
                 if idx not in values:
                     raise ValueError(f"unbound indeterminate: {name}")
-                value = _as_fraction(values[idx])
+                value = values[idx]
                 p, q = value.numerator, value.denominator
                 tables.append((idx, [p**e * q ** (degree - e) for e in range(degree + 1)]))
                 den *= q**degree
@@ -428,17 +432,16 @@ def homogeneous_substitute(p: MultiPoly, numerator: PolyLike, complement: PolyLi
     return MultiPoly._from_parts(out, den * p._den)
 
 
-# -- text round-trip -------------------------------------------------------
+# -- text forms -----------------------------------------------------------
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
-_FACTOR_RE = re.compile(rf"^({'|'.join(VARIABLES)})(?:\^([1-9]\d*))?$")
 
 CANONICAL_NAMES = {name: name for name in VARIABLES}
 
 
 def format_rational(q: Scalar) -> str:
     """Canonical text form: ``p/q``, or just ``p`` when the denominator is 1."""
-    return str(Fraction(q))
+    return str(_as_fraction(q))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -491,38 +494,3 @@ def format_poly(p: MultiPoly, names: Mapping[str, str] | None = None) -> str:
         else:
             parts.append(f" + {body}" if coeff > 0 else f" - {body}")
     return "".join(parts)
-
-
-def parse_poly(text: str) -> MultiPoly:
-    """Parse the canonical `format_poly` output (``VARIABLES`` names) back."""
-    t = text.strip()
-    if not t:
-        raise ValueError("empty polynomial text")
-    if t == "0":
-        return MultiPoly.constant(0)
-    terms: dict[tuple, Fraction] = {}
-    for chunk in t.replace(" - ", " + -").split(" + "):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError(f"malformed polynomial text: {text!r}")
-        sign = 1
-        if chunk.startswith("-"):
-            sign, chunk = -1, chunk[1:]
-        coeff = _F1
-        exps = [0] * len(VARIABLES)
-        saw_factor = False
-        for factor in chunk.split("*"):
-            m = _FACTOR_RE.match(factor)
-            if m:
-                exps[_VAR_INDEX[m.group(1)]] += int(m.group(2) or 1)
-                saw_factor = True
-            elif _RATIONAL_RE.match(factor):
-                coeff *= Fraction(factor)
-                saw_factor = True
-            else:
-                raise ValueError(f"malformed term factor: {factor!r}")
-        if not saw_factor:
-            raise ValueError(f"malformed polynomial text: {text!r}")
-        key = tuple(exps)
-        terms[key] = terms.get(key, _F0) + sign * coeff
-    return MultiPoly(terms)

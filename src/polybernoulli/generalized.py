@@ -20,8 +20,8 @@ which is what the series oracle computes independently of every closed form:
 ``gen_pb_numbers_series`` (in :mod:`~polybernoulli.series`) times ``c^{x t}``.
 
 Each ``verify_*`` function checks one family of identities over the grid
-its caller passes (:func:`~polybernoulli.verification.run_suite` holds the
-defaults): it streams ``(label, lhs, rhs)`` cases into
+its caller passes, n = 0..n_max and k over the range ``ks``
+(:func:`~polybernoulli.verification.run_suite` holds the defaults): it streams ``(label, lhs, rhs)`` cases into
 :func:`~polybernoulli.reports.check`, which counts and times them, compares
 each exactly and stops at the first mismatch.  The series oracle is read at
 three fixed rational points; it is expanded once per (k, point) and serves
@@ -43,6 +43,7 @@ from .exact import (
     PolyLike,
     X,
     Y,
+    _as_fraction,
     as_poly,
     binomial_convolution,
     format_rational,
@@ -146,7 +147,7 @@ def gen_pb_poly_series(
 ) -> PowerSeries:
     """Series oracle for the three-parameter polynomial at one rational point."""
     s = gen_pb_numbers_series(k, ln_a, ln_b, order)
-    return s * ps_exp_linear(Fraction(x) * Fraction(ln_c), order)
+    return s * ps_exp_linear(_as_fraction(x) * _as_fraction(ln_c), order)
 
 
 def pb_derivative(n: int, k: int, l: int) -> MultiPoly:
@@ -171,13 +172,6 @@ def pb_definite_integral(n: int, k: int, alpha: PolyLike, beta: PolyLike) -> Mul
 
 
 # -- helpers ---------------------------------------------------------------
-
-
-def _k_range_text(k_set) -> str:
-    ks = sorted(k_set)
-    if len(ks) > 1 and ks == list(range(ks[0], ks[-1] + 1)):
-        return f"{ks[0]}..{ks[-1]}"
-    return ",".join(str(k) for k in ks)
 
 
 def _nk_cases(ks, n_max: int, lhs, rhs):
@@ -215,7 +209,7 @@ def _gen_poly_oracle_cases(n_max: int, ks):
 # -- identity suites -------------------------------------------------------
 
 
-def verify_theorem1(n_max: int, k_set) -> list[IdentityReport]:
+def verify_theorem1(n_max: int, ks: range) -> list[IdentityReport]:
     """All constructions of the two- and three-parameter families agree.
 
     Two checks anchor the closed forms to the series oracle at fixed
@@ -224,9 +218,8 @@ def verify_theorem1(n_max: int, k_set) -> list[IdentityReport]:
     one-variable family, and the single homogeneous substitution against the
     per-degree convolution).
     """
-    ks = sorted(k_set)
     n_range = f"0..{n_max}"
-    k_range = _k_range_text(ks)
+    k_range = f"{ks[0]}..{ks[-1]}"
     move_c = {"La": LA + LC, "Lb": LB - LC}
     to_one_variable = {"La": 1 + X, "Lb": -X}
 
@@ -257,16 +250,15 @@ def verify_theorem1(n_max: int, k_set) -> list[IdentityReport]:
     ]
 
 
-def verify_theorem2(n_max: int, k_set) -> list[IdentityReport]:
+def verify_theorem2(n_max: int, ks: range) -> list[IdentityReport]:
     """Addition formula: expanding at x + y matches the binomial convolution.
 
     Checked at rational shifts y, with the roles of x and y swapped, and once
     more fully symbolically at y = Y, where both convolutions must equal
     ``B_n(X + Y)``, so no specialization is involved at all.
     """
-    ks = sorted(k_set)
     n_range = f"0..{n_max}"
-    k_range = _k_range_text(ks)
+    k_range = f"{ks[0]}..{ks[-1]}"
     y_text = ",".join(format_rational(y) for y in _Y_VALUES)
 
     def at_y(k, y0):
@@ -306,7 +298,7 @@ def verify_theorem2(n_max: int, k_set) -> list[IdentityReport]:
     ]
 
 
-def verify_theorem3(n_max: int, k_set) -> list[IdentityReport]:
+def verify_theorem3(n_max: int, ks: range) -> list[IdentityReport]:
     """The two expanded closed forms rebuild the production polynomial.
 
     Neither check is independent evidence: T3.18 is T1.16's comparison, and
@@ -314,9 +306,8 @@ def verify_theorem3(n_max: int, k_set) -> list[IdentityReport]:
     ``binomial_convolution`` over the alternating sums that T1.12 proves
     equal to the values T1.16 convolves.  Both stay as the paper states them.
     """
-    ks = sorted(k_set)
     n_range = f"0..{n_max}"
-    k_range = _k_range_text(ks)
+    k_range = f"{ks[0]}..{ks[-1]}"
     return [
         check(ident, detail, n_range, k_range, _nk_cases(ks, n_max, builder, gen_pb_poly))
         for builder, ident, detail in (
@@ -326,15 +317,14 @@ def verify_theorem3(n_max: int, k_set) -> list[IdentityReport]:
     ]
 
 
-def verify_theorem4(n_max: int, k_set) -> list[IdentityReport]:
+def verify_theorem4(n_max: int, ks: range) -> list[IdentityReport]:
     """Derivatives and definite integrals of the three-parameter family.
 
     The integral identity is checked multiplied out, for n up to
     ``min(n_max, 8)``: ``(n+1) Lc`` times the integral equals the
     antidifference of the degree-(n+1) polynomial.
     """
-    ks = sorted(k_set)
-    k_range = _k_range_text(ks)
+    k_range = f"{ks[0]}..{ks[-1]}"
     n_integral = min(n_max, 8)
     bounds_text = ",".join(f"({format_rational(a)},{format_rational(b)})" for a, b in _BOUNDS)
 
@@ -368,16 +358,15 @@ def verify_theorem4(n_max: int, k_set) -> list[IdentityReport]:
     ]
 
 
-def verify_theorem5(n_max: int, k1_set) -> list[IdentityReport]:
+def verify_theorem5(n_max: int, k1s: range) -> list[IdentityReport]:
     """Mixed expansion over Euler polynomials at (1, b, b) parameters.
 
     ``B_n(x + y)`` must equal half the binomial convolution of
     ``B_k(y) + B_k(y + 1)`` against the matching Euler polynomials, all
     specialized to a = 1, c = b and symbolic in x, y = Y and ln b, so each
     case proves the identity for every y.  One report per k1; an empty
-    ``k1_set`` raises, since it would check nothing.
+    ``k1s`` raises, since it would check nothing.
     """
-    k1s = sorted(k1_set)
     if not k1s:
         raise ValueError("T5 needs at least one k1")
     to_1bb = {"La": 0, "Lc": LB}

@@ -36,7 +36,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence, Union
 
-from .exact import MultiPoly, format_poly, format_rational
+from .exact import MultiPoly, _as_fraction, format_poly, format_rational
 
 __all__ = [
     "PowerSeries",
@@ -60,7 +60,7 @@ def _split(value) -> tuple[Numerator, int]:
         return value, 1
     if isinstance(value, MultiPoly):
         return MultiPoly._from_parts(value._num, 1), value._den
-    value = Fraction(value)
+    value = _as_fraction(value)
     return value.numerator, value.denominator
 
 
@@ -365,7 +365,7 @@ def gen_pb_numbers_series(k: int, ln_a, ln_b, order: int) -> PowerSeries:
     valuation one.  Internally everything is computed one order higher so the
     valuation-1 division still delivers the requested order.
     """
-    la, lb = Fraction(ln_a), Fraction(ln_b)
+    la, lb = _as_fraction(ln_a), _as_fraction(ln_b)
     if la + lb == 0:
         raise ValueError("degenerate parameter point: ln(a) + ln(b) = 0")
     _check_order(order)

@@ -41,18 +41,18 @@ __all__ = [
 SUITE_NAMES = ("all", "T1", "T2", "T3", "T4", "T5", "C1", "euler", "oracle")
 
 
-def verify_pb_closed_form(n_max: int, k_min: int, k_max: int) -> list[IdentityReport]:
+def verify_pb_closed_form(n_max: int, ks: range) -> list[IdentityReport]:
     """Closed-form numbers against the generating-function expansion."""
 
     def cases():
-        for k in range(k_min, k_max + 1):
+        for k in ks:
             s = gf_poly_bernoulli(k, n_max)
             for n in range(n_max + 1):
                 yield f"n={n} k={k}", poly_bernoulli(n, k), s.coefficient(n) * factorial(n)
 
     return [
         check("ORACLE", "closed-form numbers match the generating-function expansion",
-              f"0..{n_max}", f"{k_min}..{k_max}", cases())
+              f"0..{n_max}", f"{ks[0]}..{ks[-1]}", cases())
     ]
 
 
@@ -82,22 +82,21 @@ def verify_negative_index(n_max: int) -> list[IdentityReport]:
     ]
 
 
-def verify_iterated_integral(order: int) -> list[IdentityReport]:
+def verify_iterated_integral(n_max: int) -> list[IdentityReport]:
     """The integrate-and-divide construction rebuilds the generating function, k = 1..5."""
     return [
         check("ORACLE", "iterated-integral construction rebuilds the generating function",
-              f"0..{order}", "1..5",
-              ((f"k={k}", gf_iterated_integral(k, order), gf_poly_bernoulli(k, order))
+              f"0..{n_max}", "1..5",
+              ((f"k={k}", gf_iterated_integral(k, n_max), gf_poly_bernoulli(k, n_max))
                for k in range(1, 6)))
     ]
 
 
-def verify_gen_numbers_anchor(n_max: int, k_min: int, k_max: int) -> list[IdentityReport]:
+def verify_gen_numbers_anchor(n_max: int, ks: range) -> list[IdentityReport]:
     """Two-parameter closed form pinned to its series oracle on a wider grid."""
     return [
         check("ORACLE", "two-parameter closed form anchored to the series oracle",
-              f"0..{n_max}", f"{k_min}..{k_max}",
-              gen_numbers_oracle_cases(n_max, range(k_min, k_max + 1)))
+              f"0..{n_max}", f"{ks[0]}..{ks[-1]}", gen_numbers_oracle_cases(n_max, ks))
     ]
 
 
@@ -124,20 +123,20 @@ def run_suite(
         DEFAULT_CACHE._check_cap(n=n_max)
     if suite in ("all", "T5") and hi < 1:
         raise ValueError("T5 needs some k >= 1 in the k range")
-    k_set = range(lo, hi + 1)
+    ks = range(lo, hi + 1)
 
     def n_or(default: int) -> int:
         return default if n_max is None else n_max
 
     reports: list[IdentityReport] = []
     if suite in ("all", "T1"):
-        reports += verify_theorem1(n_or(10), k_set)
+        reports += verify_theorem1(n_or(10), ks)
     if suite in ("all", "T2"):
-        reports += verify_theorem2(n_or(8), k_set)
+        reports += verify_theorem2(n_or(8), ks)
     if suite in ("all", "T3"):
-        reports += verify_theorem3(n_or(10), k_set)
+        reports += verify_theorem3(n_or(10), ks)
     if suite in ("all", "T4"):
-        reports += verify_theorem4(n_or(10), k_set)
+        reports += verify_theorem4(n_or(10), ks)
     if suite in ("all", "T5"):
         reports += verify_theorem5(n_or(8), range(max(lo, 1), hi + 1))
     if suite in ("all", "C1"):
@@ -146,8 +145,8 @@ def run_suite(
         reports += verify_euler_identities(n_or(10))
     if suite in ("all", "oracle"):
         n = n_or(12)
-        reports += verify_pb_closed_form(n, lo, hi)
+        reports += verify_pb_closed_form(n, ks)
         reports += verify_negative_index(n)
-        reports += verify_iterated_integral(order=n)
-        reports += verify_gen_numbers_anchor(n, lo, hi)
+        reports += verify_iterated_integral(n)
+        reports += verify_gen_numbers_anchor(n, ks)
     return reports

@@ -95,32 +95,32 @@ def test_criterion_03_lonesum_matrix_counts():
 
 
 def test_criterion_04_iterated_integral_construction():
-    ok = all_passed(verify_iterated_integral(order=12))
+    ok = all_passed(verify_iterated_integral(n_max=12))
     _criterion(
         4, "integrate-and-divide construction rebuilds the generating function, k=1..5", ok
     )
 
 
 def test_criterion_05_parameterized_constructions_agree():
-    ok = all_passed(verify_theorem1(n_max=10, k_set=K_SET))
-    ok = ok and all_passed(verify_theorem3(n_max=10, k_set=K_SET))
+    ok = all_passed(verify_theorem1(n_max=10, ks=K_SET))
+    ok = ok and all_passed(verify_theorem3(n_max=10, ks=K_SET))
     _criterion(
         5, "all parameterized constructions agree and match the series oracle, n<=10", ok
     )
 
 
 def test_criterion_06_two_parameter_anchor():
-    ok = all_passed(verify_gen_numbers_anchor(n_max=12, k_min=-3, k_max=3))
+    ok = all_passed(verify_gen_numbers_anchor(n_max=12, ks=K_SET))
     _criterion(6, "two-parameter closed form anchored to the series oracle, n<=12", ok)
 
 
 def test_criterion_07_addition_formula():
-    ok = all_passed(verify_theorem2(n_max=8, k_set=K_SET))
+    ok = all_passed(verify_theorem2(n_max=8, ks=K_SET))
     _criterion(7, "addition formula holds at rational shifts and symbolically, n<=8", ok)
 
 
 def test_criterion_08_calculus_identities():
-    ok = all_passed(verify_theorem4(n_max=10, k_set=K_SET))
+    ok = all_passed(verify_theorem4(n_max=10, ks=K_SET))
     _criterion(8, "derivative and definite-integral identities, n<=10 and n<=8", ok)
 
 
@@ -136,7 +136,7 @@ def test_criterion_09_euler_identities():
 
 
 def test_criterion_10_mixed_euler_expansion():
-    ok = all_passed(verify_theorem5(n_max=8, k1_set=range(1, 4)))
+    ok = all_passed(verify_theorem5(n_max=8, k1s=range(1, 4)))
     _criterion(
         10, "expansion over Euler polynomials at (1, b, b) parameters, n<=8, k1=1..3", ok
     )

@@ -61,6 +61,9 @@ def test_json_output_round_trips(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj == {"n": 2, "k": 2, "generalized": False, "value": "-1/36"}
+    code, out = run(capsys, "polynomial", "-n", "1", "-k", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 1, "k": 2, "generalized": False, "polynomial": "x + 1/4"}
 
 
 def test_table_text_and_csv_agree(capsys):
@@ -99,6 +102,17 @@ def test_verify_degenerate_range_still_passes(capsys):
     assert out.count(" k=0..0 ") == 3 and "-0" not in out
 
 
+def test_verify_one_k_grid_prints_a_range_on_every_k_indexed_line(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--n-max", "2", "--k-min", "2", "--k-max", "2")
+    assert code == 0
+    k_columns = [line.split()[3] for line in out.splitlines() if line.startswith(("T", "ORACLE"))]
+    # T1-T4, T5 (one report per k1), then the ORACLE lines; three of those
+    # and the iterated integral run their own fixed k ranges
+    assert k_columns == (
+        ["k=2..2"] * 13 + ["k=2", "k=2..2"] + ["k=-2..0"] * 3 + ["k=1..5", "k=2..2"]
+    )
+
+
 def test_table_json_structure(capsys):
     code, out = run(capsys, "table", "--n-max", "2", "--k-min", "0", "--k-max", "2", "--format", "json")
     assert code == 0
@@ -135,6 +149,13 @@ def test_eval_show_series_prefixes_value(capsys):
     assert lines[0].startswith("series: 1 + 1/2*t + 1/12*t^2")
     assert lines[0].endswith("*t^2 + O(t^3)")  # expanded to order n exactly
     assert lines[1] == "1/6"
+    code, out = run(
+        capsys, "eval", "--number", "2", "-k", "1", "--generalized",
+        "--ln-a", "1", "--ln-b", "0", "--show-series", "--format", "json",
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["series"], obj["value"]) == (lines[0].removeprefix("series: "), "1/6")
 
 
 def test_verify_text_reports_and_exit_zero(capsys):
@@ -238,6 +259,8 @@ UNKNOWN_FLAG = "unrecognized arguments"
         ("verify --suite T1 --n-max 65", "n=65 exceeds the cache cap 64"),
         ("verify --suite T1 --k-min 5 --k-max 3", "the k range is empty"),
         ("eval --number 3 -k 1 -x 5", "-x and --ln-c apply only to --poly"),
+        ("eval --number 3 -k 1 --generalized --ln-a 1", "needs --ln-a and --ln-b"),
+        ("eval --poly 3 -k 1 --generalized --ln-a 1 --ln-b 1 -x 2", "needs --ln-c and -x"),
         (
             "eval --number 3 -k 2 --generalized --ln-a 1 --ln-b 1 --ln-c 7 -x 9",
             "-x and --ln-c apply only to --poly",

@@ -112,6 +112,14 @@ def test_degenerate_point_rejected():
         gen_pb_numbers_series(1, F(1), F(-1), 5)
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/3"])
+def test_poly_series_rejects_inexact_values(bad):
+    with pytest.raises(TypeError):
+        gen_pb_poly_series(1, F(1), F(0), bad, F(1), 2)
+    with pytest.raises(TypeError):
+        gen_pb_poly_series(1, F(1), F(0), F(1), bad, 2)
+
+
 def test_poly_series_matches_closed_form():
     point = {"X": F(1, 2), "La": F(1), "Lb": F(1, 3), "Lc": F(-2)}
     s = gen_pb_poly_series(2, point["La"], point["Lb"], point["Lc"], point["X"], 8)
@@ -182,13 +190,13 @@ def test_planted_defect_zero_over_the_fixed_intervals_is_caught(monkeypatch):
         return integrate(p, name) + X * (X - 1) * (X + F(1, 2)) * (X - F(1, 3))
 
     monkeypatch.setattr(MultiPoly, "integrate", planted)
-    _, integral = verify_theorem4(n_max=4, k_set=(-1, 2))
+    _, integral = verify_theorem4(n_max=4, ks=range(-1, 3))
     assert integral.status == "pass"
     assert not symbolic_integral_holds(2, 2)
 
 
 def test_theorem1_suite_passes():
-    reports = verify_theorem1(n_max=6, k_set=range(-2, 3))
+    reports = verify_theorem1(n_max=6, ks=range(-2, 3))
     assert [r.identity_id for r in reports] == [
         "T1.11",
         "T1.12",
@@ -201,32 +209,32 @@ def test_theorem1_suite_passes():
 
 
 def test_theorem2_suite_passes():
-    reports = verify_theorem2(n_max=5, k_set=(-2, 1, 2))
+    reports = verify_theorem2(n_max=5, ks=range(0, 3))
     assert len(reports) == 3
     assert {r.identity_id for r in reports} == {"T2.17"}
     assert all(r.passed for r in reports), [r.format_line() for r in reports]
 
 
 def test_theorem3_suite_passes():
-    reports = verify_theorem3(n_max=6, k_set=range(-2, 3))
+    reports = verify_theorem3(n_max=6, ks=range(-2, 3))
     assert [r.identity_id for r in reports] == ["T3.18", "T3.19"]
     assert all(r.passed for r in reports), [r.format_line() for r in reports]
 
 
 def test_theorem4_suite_passes():
-    reports = verify_theorem4(n_max=6, k_set=range(-2, 3))
+    reports = verify_theorem4(n_max=6, ks=range(-2, 3))
     assert [r.identity_id for r in reports] == ["T4.20", "T4.21"]
     assert all(r.passed for r in reports), [r.format_line() for r in reports]
 
 
 def test_theorem5_suite_passes():
-    reports = verify_theorem5(n_max=5, k1_set=(1, 2))
+    reports = verify_theorem5(n_max=5, k1s=range(1, 3))
     assert [r.identity_id for r in reports] == ["T5", "T5"]
     assert all(r.passed for r in reports), [r.format_line() for r in reports]
 
 
 def test_theorem5_checks_one_case_per_n_for_every_y():
-    reports = verify_theorem5(n_max=3, k1_set=(1, 2))
+    reports = verify_theorem5(n_max=3, k1s=range(1, 3))
     assert [r.cases for r in reports] == [4, 4]
 
 
@@ -239,8 +247,8 @@ def test_planted_defect_zero_at_the_old_y_values_is_caught(monkeypatch):
         return shift_x(p, delta) + delta * (2 * delta - 1) * (3 * delta + 1)
 
     monkeypatch.setattr(generalized, "_shift_x", planted)
-    assert [r.status for r in verify_theorem5(n_max=3, k1_set=(1, 2))] == ["FAIL", "FAIL"]
-    rational, swapped, symbolic = verify_theorem2(n_max=3, k_set=(1,))
+    assert [r.status for r in verify_theorem5(n_max=3, k1s=range(1, 3))] == ["FAIL", "FAIL"]
+    rational, swapped, symbolic = verify_theorem2(n_max=3, ks=range(1, 2))
     assert (rational.status, swapped.status, symbolic.status) == ("pass", "pass", "FAIL")
 
 
@@ -252,10 +260,10 @@ def test_corollary1_suite_passes():
 
 def test_zero_case_grids_raise_instead_of_passing():
     with pytest.raises(ValueError, match="at least one k1"):
-        verify_theorem5(n_max=2, k1_set=())
+        verify_theorem5(n_max=2, k1s=range(1, 1))
 
 
 def test_reports_count_their_cases():
-    reports = verify_theorem4(n_max=3, k_set=(-1, 2))
+    reports = verify_theorem4(n_max=3, ks=range(-1, 1))
     # T4.20: l runs over 0..n+1 for n = 0..3; T4.21: three bounds for n = 0..3
     assert [r.cases for r in reports] == [2 * (2 + 3 + 4 + 5), 2 * 4 * 3]

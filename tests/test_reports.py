@@ -55,7 +55,7 @@ def test_series_witness_names_the_first_differing_coefficient(monkeypatch):
         return PowerSeries(s.coeffs[:12] + (s.coefficient(12) + 1,) + s.coeffs[13:])
 
     monkeypatch.setattr(verification, "gf_iterated_integral", bumped_at_t12)
-    [report] = verification.verify_iterated_integral(order=12)
+    [report] = verification.verify_iterated_integral(n_max=12)
     c = gf_poly_bernoulli(1, 12).coefficient(12)
     assert report.witness == f"k=1 [t^12]: {c + 1} vs {c}"
 
@@ -79,3 +79,11 @@ def test_json_carries_cases_and_time():
     obj = report.as_json_obj()
     assert obj["cases"] == 2
     assert obj["elapsed_ms"] == 1.235
+
+
+def test_failing_json_carries_the_witness_clipped_to_240_characters():
+    report = check("C1", "planted", "0..0", "-", iter([("n=0", "x" * 300, "y")]))
+    obj = report.as_json_obj()
+    assert obj["status"] == "fail"
+    assert obj["witness"] == report.witness
+    assert report.witness == "n=0: " + "x" * 232 + "..."

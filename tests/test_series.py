@@ -10,6 +10,7 @@ from polybernoulli.exact import LA, LB, LC, MultiPoly, X
 from polybernoulli.series import (
     PowerSeries,
     format_series,
+    gen_pb_numbers_series,
     gf_iterated_integral,
     gf_poly_bernoulli,
     polylog_series,
@@ -107,6 +108,11 @@ def test_div_exp_minus_one_over_t():
 def test_div_non_series_quotient():
     with pytest.raises(ValueError, match="non-series quotient"):
         ps_div(series_of(1, 0, 0), series_of(0, 1, 0))
+
+
+def test_div_insufficient_order():
+    with pytest.raises(ValueError, match="insufficient order"):
+        ps_div(PowerSeries([0]), PowerSeries([0, 1]))
 
 
 def test_div_leading_coefficient_not_a_unit():
@@ -425,3 +431,17 @@ def test_format_series():
     assert format_series(series_of(1, -1, 0, F(1, 3))) == "1 - t + 1/3*t^3 + O(t^4)"
     with_poly = PowerSeries([MultiPoly.constant(1), LA + LB])
     assert format_series(with_poly) == "1 + (La + Lb)*t + O(t^2)"
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3"])
+def test_series_entry_points_reject_inexact_values(bad):
+    for call in (
+        lambda: PowerSeries([bad]),
+        lambda: PowerSeries.constant(bad, 2),
+        lambda: series_of(1, 2) * bad,
+        lambda: ps_exp_linear(bad, 3),
+        lambda: gen_pb_numbers_series(1, bad, F(1, 3), 1),
+        lambda: gen_pb_numbers_series(1, F(1, 2), bad, 1),
+    ):
+        with pytest.raises(TypeError):
+            call()

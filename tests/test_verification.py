@@ -15,10 +15,10 @@ from polybernoulli.verification import (
 
 
 def test_oracle_verifiers_pass_on_default_grids():
-    assert all_passed(verify_pb_closed_form(n_max=10, k_min=-3, k_max=3))
+    assert all_passed(verify_pb_closed_form(n_max=10, ks=range(-3, 4)))
     assert all_passed(verify_negative_index(n_max=10))
-    assert all_passed(verify_iterated_integral(order=10))
-    assert all_passed(verify_gen_numbers_anchor(n_max=8, k_min=-3, k_max=3))
+    assert all_passed(verify_iterated_integral(n_max=10))
+    assert all_passed(verify_gen_numbers_anchor(n_max=8, ks=range(-3, 4)))
 
 
 def test_negative_index_reports_three_views():
