@@ -19,7 +19,6 @@ from .numbers import (
     poly_bernoulli,
     poly_bernoulli_negative,
     poly_bernoulli_poly,
-    stirling2,
 )
 from .reports import IdentityReport, all_passed
 from .series import PowerSeries, gf_iterated_integral, gf_poly_bernoulli
@@ -50,6 +49,5 @@ __all__ = [
     "poly_bernoulli_negative",
     "poly_bernoulli_poly",
     "run_suite",
-    "stirling2",
     "__version__",
 ]

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 
 from .exact import LA, LB, LC, MultiPoly, X, binomial_convolution, homogeneous_substitute, powers
-from .numbers import _stirling_row
+from .numbers import DEFAULT_CACHE, _stirling_row
 from .reports import IdentityReport, check
 
 __all__ = ["euler_poly", "gen_euler_poly", "verify_euler_identities"]
@@ -35,12 +35,13 @@ def euler_poly(n: int) -> MultiPoly:
     """Classical Euler polynomial of degree n, as a MultiPoly in X."""
     if n < 0:
         raise ValueError("the index must be non-negative")
+    DEFAULT_CACHE._check_cap(n=n)
     return binomial_convolution([_euler_number(j) for j in range(n + 1)], powers(X, n))
 
 
 @lru_cache(maxsize=None)
 def gen_euler_poly(n: int) -> MultiPoly:
-    """Three-parameter Euler polynomial in X, La, Lb, Lc."""
+    """Three-parameter Euler polynomial in X, La, Lb, Lc (capped as ``euler_poly``)."""
     return homogeneous_substitute(euler_poly(n), X * LC - LA, LB - LA)
 
 
@@ -61,7 +62,6 @@ def verify_euler_identities(n_max: int) -> list[IdentityReport]:
     from E2, since ``gen_euler_poly`` substitutes into ``euler_poly``; it
     stays as the paper's statement.
     """
-    n_range = f"0..{n_max}"
     degrees = range(n_max + 1)
 
     def binomial_sum(k):
@@ -74,10 +74,10 @@ def verify_euler_identities(n_max: int) -> list[IdentityReport]:
         return gen_euler_poly(k).substitute({"La": 0, "Lc": LB})
 
     return [
-        check("E1", "shift by one equals the binomial sum", n_range, "-",
+        check("E1", "shift by one equals the binomial sum", n_max, "-",
               ((f"k={k}", _shift_x(euler_poly(k), 1), binomial_sum(k)) for k in degrees)),
-        check("E2", "shifted and plain values pair to 2*X^k", n_range, "-",
+        check("E2", "shifted and plain values pair to 2*X^k", n_max, "-",
               ((f"k={k}", pairing(euler_poly(k)), 2 * X**k) for k in degrees)),
-        check("E3", "the (1, b, b) specialization pairs to 2*X^k*Lb^k", n_range, "-",
+        check("E3", "the (1, b, b) specialization pairs to 2*X^k*Lb^k", n_max, "-",
               ((f"k={k}", pairing(special(k)), 2 * X**k * LB**k) for k in degrees)),
     ]

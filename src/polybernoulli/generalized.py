@@ -21,9 +21,10 @@ which is what the series oracle computes independently of every closed form:
 
 Each ``verify_*`` function checks one family of identities over the grid
 its caller passes, n = 0..n_max and k over the range ``ks``
-(:func:`~polybernoulli.verification.run_suite` holds the defaults): it streams ``(label, lhs, rhs)`` cases into
-:func:`~polybernoulli.reports.check`, which counts and times them, compares
-each exactly and stops at the first mismatch.  The series oracle is read at
+(:func:`~polybernoulli.verification.run_suite` holds the defaults): it
+streams ``(label, lhs, rhs)`` cases into :func:`~polybernoulli.reports.check`,
+which names the grid, counts and times the cases, compares each exactly and
+stops at the first mismatch.  The series oracle is read at
 three fixed rational points; it is expanded once per (k, point) and serves
 every n, exactly to order n_max.
 """
@@ -218,8 +219,6 @@ def verify_theorem1(n_max: int, ks: range) -> list[IdentityReport]:
     one-variable family, and the single homogeneous substitution against the
     per-degree convolution).
     """
-    n_range = f"0..{n_max}"
-    k_range = f"{ks[0]}..{ks[-1]}"
     move_c = {"La": LA + LC, "Lb": LB - LC}
     to_one_variable = {"La": 1 + X, "Lb": -X}
 
@@ -234,19 +233,19 @@ def verify_theorem1(n_max: int, ks: range) -> list[IdentityReport]:
 
     return [
         check("T1.11", "two-parameter values match the series oracle at seeded rational points",
-              n_range, k_range, gen_numbers_oracle_cases(n_max, ks)),
+              n_max, ks, gen_numbers_oracle_cases(n_max, ks)),
         check("T1.12", "substituted-polynomial and alternating-sum constructions agree",
-              n_range, k_range, _nk_cases(ks, n_max, gen_pb_numbers, gen_pb_numbers_by_sum)),
+              n_max, ks, _nk_cases(ks, n_max, gen_pb_numbers, gen_pb_numbers_by_sum)),
         check("T1.13",
               "three-parameter polynomials match the series oracle at seeded rational points",
-              n_range, k_range, _gen_poly_oracle_cases(n_max, ks)),
+              n_max, ks, _gen_poly_oracle_cases(n_max, ks)),
         check("T1.14", "shifting x by one equals moving a factor of c from b to a",
-              n_range, k_range, _nk_cases(ks, n_max, shifted, c_moved)),
+              n_max, ks, _nk_cases(ks, n_max, shifted, c_moved)),
         check("T1.15",
               "binding the parameters to (1+s, -s) recovers the one-variable polynomials",
-              n_range, k_range, _nk_cases(ks, n_max, one_variable, poly_bernoulli_poly)),
+              n_max, ks, _nk_cases(ks, n_max, one_variable, poly_bernoulli_poly)),
         check("T1.16", "one homogeneous substitution builds the full three-parameter polynomial",
-              n_range, k_range, _nk_cases(ks, n_max, gen_pb_poly, gen_pb_poly_assembled)),
+              n_max, ks, _nk_cases(ks, n_max, gen_pb_poly, gen_pb_poly_assembled)),
     ]
 
 
@@ -257,8 +256,6 @@ def verify_theorem2(n_max: int, ks: range) -> list[IdentityReport]:
     more fully symbolically at y = Y, where both convolutions must equal
     ``B_n(X + Y)``, so no specialization is involved at all.
     """
-    n_range = f"0..{n_max}"
-    k_range = f"{ks[0]}..{ks[-1]}"
     y_text = ",".join(format_rational(y) for y in _Y_VALUES)
 
     def at_y(k, y0):
@@ -290,11 +287,11 @@ def verify_theorem2(n_max: int, ks: range) -> list[IdentityReport]:
                 yield f"n={n} k={k} (symbolic forms)", (lhs, lhs), rhs
 
     return [
-        check("T2.17", f"expansion around rational shifts y in {{{y_text}}}", n_range, k_range,
+        check("T2.17", f"expansion around rational shifts y in {{{y_text}}}", n_max, ks,
               shift_cases(at_y)),
-        check("T2.17", "the same expansion with the roles of x and y swapped", n_range, k_range,
+        check("T2.17", "the same expansion with the roles of x and y swapped", n_max, ks,
               shift_cases(at_y_swapped, " (swapped)")),
-        check("T2.17", "fully symbolic two-variable expansion", n_range, k_range, symbolic_cases()),
+        check("T2.17", "fully symbolic two-variable expansion", n_max, ks, symbolic_cases()),
     ]
 
 
@@ -306,10 +303,8 @@ def verify_theorem3(n_max: int, ks: range) -> list[IdentityReport]:
     ``binomial_convolution`` over the alternating sums that T1.12 proves
     equal to the values T1.16 convolves.  Both stay as the paper states them.
     """
-    n_range = f"0..{n_max}"
-    k_range = f"{ks[0]}..{ks[-1]}"
     return [
-        check(ident, detail, n_range, k_range, _nk_cases(ks, n_max, builder, gen_pb_poly))
+        check(ident, detail, n_max, ks, _nk_cases(ks, n_max, builder, gen_pb_poly))
         for builder, ident, detail in (
             (gen_pb_poly_assembled, "T3.18", "per-degree homogeneous assembly agrees"),
             (gen_pb_poly_double_sum, "T3.19", "explicit double binomial sum agrees"),
@@ -324,7 +319,6 @@ def verify_theorem4(n_max: int, ks: range) -> list[IdentityReport]:
     ``min(n_max, 8)``: ``(n+1) Lc`` times the integral equals the
     antidifference of the degree-(n+1) polynomial.
     """
-    k_range = f"{ks[0]}..{ks[-1]}"
     n_integral = min(n_max, 8)
     bounds_text = ",".join(f"({format_rational(a)},{format_rational(b)})" for a, b in _BOUNDS)
 
@@ -352,9 +346,9 @@ def verify_theorem4(n_max: int, ks: range) -> list[IdentityReport]:
 
     return [
         check("T4.20", "repeated d/dx lowers the degree with falling-factorial weights",
-              f"0..{n_max}", k_range, derivative_cases()),
+              n_max, ks, derivative_cases()),
         check("T4.21", f"definite integrals over {bounds_text} match the scaled antidifference",
-              f"0..{n_integral}", k_range, integral_cases()),
+              n_integral, ks, integral_cases()),
     ]
 
 
@@ -381,7 +375,7 @@ def verify_theorem5(n_max: int, k1s: range) -> list[IdentityReport]:
 
     return [
         check("T5", "expansion over Euler polynomials at (1, b, b) parameters",
-              f"0..{n_max}", str(k1), cases(k1))
+              n_max, str(k1), cases(k1))
         for k1 in k1s
     ]
 
@@ -408,5 +402,5 @@ def verify_corollary1(n_max: int) -> list[IdentityReport]:
 
     return [
         check("C1", "classical Bernoulli polynomials expand over Euler polynomials",
-              f"0..{n_max}", "-", cases())
+              n_max, "-", cases())
     ]

@@ -17,9 +17,9 @@ functions that return immutable values, so one memo is shared across the
 process and across threads: concurrent misses may compute a row twice, but
 never corrupt it.  A :class:`PolyBernoulliCache` holds only a cap on the
 indices it answers for (default 64), so runaway requests fail loudly, naming
-the index asked for.  The cap does not bound memory: the memo is unbounded,
-so rows grown for a raised-cap instance stay for the life of the process,
-and ``euler._euler_number`` reads Stirling rows with no cap at all.
+the index asked for; the Euler polynomials check the same default cap.  The
+cap does not bound memory: the memo is unbounded, so rows grown for a
+raised-cap instance stay for the life of the process.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .exact import MultiPoly, X, binomial_convolution, powers
 __all__ = [
     "PolyBernoulliCache",
     "DEFAULT_CACHE",
-    "stirling2",
     "poly_bernoulli",
     "poly_bernoulli_negative",
     "poly_bernoulli_poly",
@@ -87,15 +86,6 @@ class PolyBernoulliCache:
                     "construct PolyBernoulliCache(n_cap=...) for larger tables"
                 )
 
-    def stirling2(self, n: int, m: int) -> int:
-        """Stirling number of the second kind (set partitions of n into m blocks)."""
-        if n < 0 or m < 0:
-            raise ValueError("Stirling indices must be non-negative")
-        if m > n:
-            return 0
-        self._check_cap(n=n)
-        return _stirling_row(n)[m]
-
     def poly_bernoulli(self, n: int, k: int) -> Fraction:
         """Poly-Bernoulli number, any integer upper index k.
 
@@ -108,10 +98,6 @@ class PolyBernoulliCache:
 
 
 DEFAULT_CACHE = PolyBernoulliCache()
-
-
-def stirling2(n: int, m: int) -> int:
-    return DEFAULT_CACHE.stirling2(n, m)
 
 
 def poly_bernoulli(n: int, k: int) -> Fraction:

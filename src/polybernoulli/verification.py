@@ -1,14 +1,16 @@
 """Oracle anchors and the one-call entry point for every identity suite.
 
 The checks here pin the closed forms to constructions that share no code
-with them: truncated series expansions, the double Stirling sum at negative
-upper index, and the iterated-integral build of the generating function.
-Like every suite, each one is a lazy stream of ``(label, lhs, rhs)`` cases
-fed to :func:`~polybernoulli.reports.check`.  ``run_suite`` is what the
-command line calls; it maps a suite name to the right verifier family and
-returns the combined report list in a stable order.  It is the one place
-that sets grids and checks them: no ``verify_*`` function has a default, and
-``run_suite`` rejects a grid it cannot run before any suite runs.
+with them: truncated series expansions (which also carry the negative upper
+index, against the double Stirling sum and under duality) and the
+iterated-integral build of the generating function.  Like every suite, each
+one is a lazy stream of ``(label, lhs, rhs)`` cases fed to
+:func:`~polybernoulli.reports.check` with its grid's n_max and k range.
+``run_suite`` is what the command line calls; it maps a suite name to the
+right verifier family and returns the combined report list in a stable order.
+It is the one place that sets grids and checks them: no ``verify_*`` function
+has a default, and ``run_suite`` rejects a grid it cannot run before any
+suite runs.
 """
 
 from __future__ import annotations
@@ -52,15 +54,18 @@ def verify_pb_closed_form(n_max: int, ks: range) -> list[IdentityReport]:
 
     return [
         check("ORACLE", "closed-form numbers match the generating-function expansion",
-              f"0..{n_max}", f"{ks[0]}..{ks[-1]}", cases())
+              n_max, ks, cases())
     ]
 
 
 def verify_negative_index(n_max: int) -> list[IdentityReport]:
-    """Negative-upper-index structure: double Stirling sum, duality, integrality."""
-    n_range = f"0..{n_max}"
-    k_range = f"{-n_max}..0"
+    """Negative upper index against the series oracle: closed forms, duality, integrality."""
+    ks = range(-n_max, 1)
     grid = [(n, k) for n in range(n_max + 1) for k in range(n_max + 1)]
+    series = [gf_poly_bernoulli(-k, n_max) for k in range(n_max + 1)]
+
+    def oracle(n, k):
+        return series[k].coefficient(n) * factorial(n)
 
     def integrality_cases():
         for n, k in grid:
@@ -70,25 +75,25 @@ def verify_negative_index(n_max: int) -> list[IdentityReport]:
 
     return [
         check("ORACLE", "negative upper index agrees with the double Stirling sum",
-              n_range, k_range,
-              ((f"n={n} k=-{k}", poly_bernoulli(n, -k), poly_bernoulli_negative(n, k))
-               for n, k in grid)),
+              n_max, ks,
+              ((f"n={n} k=-{k}", (poly_bernoulli(n, -k), oracle(n, k)),
+                (poly_bernoulli_negative(n, k),) * 2) for n, k in grid)),
         check("ORACLE", "swapping the indices at negative upper index changes nothing",
-              n_range, k_range,
-              ((f"(n,k)=({n},{k})", poly_bernoulli(n, -k), poly_bernoulli(k, -n))
-               for n, k in grid)),
+              n_max, ks,
+              ((f"(n,k)=({n},{k})", oracle(n, k), oracle(k, n)) for n, k in grid)),
         check("ORACLE", "negative-index values are positive integers",
-              n_range, k_range, integrality_cases()),
+              n_max, ks, integrality_cases()),
     ]
 
 
 def verify_iterated_integral(n_max: int) -> list[IdentityReport]:
     """The integrate-and-divide construction rebuilds the generating function, k = 1..5."""
+    ks = range(1, 6)
     return [
         check("ORACLE", "iterated-integral construction rebuilds the generating function",
-              f"0..{n_max}", "1..5",
+              n_max, ks,
               ((f"k={k}", gf_iterated_integral(k, n_max), gf_poly_bernoulli(k, n_max))
-               for k in range(1, 6)))
+               for k in ks))
     ]
 
 
@@ -96,7 +101,7 @@ def verify_gen_numbers_anchor(n_max: int, ks: range) -> list[IdentityReport]:
     """Two-parameter closed form pinned to its series oracle on a wider grid."""
     return [
         check("ORACLE", "two-parameter closed form anchored to the series oracle",
-              f"0..{n_max}", f"{ks[0]}..{ks[-1]}", gen_numbers_oracle_cases(n_max, ks))
+              n_max, ks, gen_numbers_oracle_cases(n_max, ks))
     ]
 
 

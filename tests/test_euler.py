@@ -26,8 +26,7 @@ def test_classical_small_degrees():
 
 
 def test_classical_degree_and_leading_coefficient():
-    # the Stirling rows carry no cap, so degrees past 64 still answer
-    for n in [*range(9), 70]:
+    for n in [*range(9), 64]:
         p = euler_poly(n)
         assert p.degree("X") == n
         assert p.coefficient((n, 0, 0, 0, 0)) == 1
@@ -38,6 +37,14 @@ def test_rejects_negative_index():
         euler_poly(-1)
     with pytest.raises(ValueError):
         gen_euler_poly(-2)
+
+
+def test_degrees_past_the_cap_are_refused():
+    # as poly_bernoulli_poly does: the cap, not the Stirling rows, bounds n
+    with pytest.raises(ValueError, match=r"^n=65 exceeds the cache cap 64"):
+        euler_poly(65)
+    with pytest.raises(ValueError, match=r"^n=65 exceeds the cache cap 64"):
+        gen_euler_poly(65)
 
 
 def test_generalized_first_degrees():

@@ -14,7 +14,6 @@ from polybernoulli.numbers import (
     poly_bernoulli,
     poly_bernoulli_negative,
     poly_bernoulli_poly,
-    stirling2,
 )
 from polybernoulli.series import PowerSeries, gf_poly_bernoulli, ps_div, ps_exp_linear
 
@@ -75,32 +74,24 @@ def brute_force_lonesum_count(rows, cols):
 
 
 def test_stirling_base_cases():
-    assert stirling2(0, 0) == 1
-    assert stirling2(5, 0) == 0
-    assert stirling2(5, 6) == 0
-    assert stirling2(4, 2) == 7
-    assert stirling2(5, 3) == 25
-
-
-def test_stirling_rejects_negative():
-    with pytest.raises(ValueError):
-        stirling2(-1, 0)
-    with pytest.raises(ValueError):
-        stirling2(2, -1)
+    assert numbers._stirling_row(0) == (1,)
+    assert numbers._stirling_row(5)[0] == 0
+    assert len(numbers._stirling_row(5)) == 6  # S(5, m) = 0 for m > 5 is left out
+    assert numbers._stirling_row(4)[2] == 7
+    assert numbers._stirling_row(5)[3] == 25
 
 
 def test_stirling_recurrence_matches_alternating_sum():
     for n in range(26):
         for m in range(n + 1):
-            assert stirling2(n, m) == stirling2_explicit(n, m)
+            assert numbers._stirling_row(n)[m] == stirling2_explicit(n, m)
 
 
 def test_threads_growing_a_cold_triangle_never_corrupt_it():
     # A triangle grown in place lost or doubled rows when threads raced to
     # append.  Eight threads grow a cold triangle together, 500 times over.
     trials, threads, top = 500, 8, 60
-    expected = [[stirling2_explicit(n, m) for m in range(n + 1)] for n in range(top + 1)]
-    cache = PolyBernoulliCache()
+    expected = [tuple(stirling2_explicit(n, m) for m in range(n + 1)) for n in range(top + 1)]
     start = threading.Barrier(threads + 1, timeout=10)
     done = threading.Barrier(threads + 1, timeout=10)
     arrived, errors = [], []
@@ -112,7 +103,7 @@ def test_threads_growing_a_cold_triangle_never_corrupt_it():
             while len(arrived) < threads:  # keep every thread runnable
                 pass
             try:
-                cache.stirling2(top, 3)
+                numbers._stirling_row(top)[3]
             except IndexError as exc:
                 errors.append(exc)
             done.wait()
@@ -131,7 +122,7 @@ def test_threads_growing_a_cold_triangle_never_corrupt_it():
             start.wait()
             done.wait()
             try:
-                triangle = [[cache.stirling2(n, m) for m in range(n + 1)] for n in range(top + 1)]
+                triangle = [numbers._stirling_row(n) for n in range(top + 1)]
             except IndexError as exc:
                 errors.append(exc)
             corrupted += bool(errors) or triangle != expected
@@ -146,7 +137,7 @@ def test_threads_growing_a_cold_triangle_never_corrupt_it():
 def test_deep_cold_row_does_not_recurse_row_by_row():
     numbers._stirling_row.cache_clear()
     try:
-        assert PolyBernoulliCache(n_cap=2000).stirling2(1100, 2) == stirling2_explicit(1100, 2)
+        assert numbers._stirling_row(1100)[2] == stirling2_explicit(1100, 2)
     finally:
         numbers._stirling_row.cache_clear()  # rows to 1100 hold about 250 MB
 
@@ -154,7 +145,7 @@ def test_deep_cold_row_does_not_recurse_row_by_row():
 def test_stirling_matches_partition_enumeration():
     for n in range(1, 8):
         for m in range(n + 1):
-            assert stirling2(n, m) == count_set_partitions(n, m)
+            assert numbers._stirling_row(n)[m] == count_set_partitions(n, m)
 
 
 # -- poly-Bernoulli numbers ------------------------------------------------
@@ -176,7 +167,8 @@ def test_integer_sum_equals_the_term_by_term_fraction_sum():
     def reference(n, k):
         total = F(0)
         for m in range(1, n + 2):
-            total += F((-1) ** (m - 1) * factorial(m - 1) * stirling2(n, m - 1)) / F(m) ** k
+            s = numbers._stirling_row(n)[m - 1]
+            total += F((-1) ** (m - 1) * factorial(m - 1) * s) / F(m) ** k
         return total if n % 2 == 0 else -total
 
     for n in range(0, 49):
@@ -275,9 +267,7 @@ def test_convention_split_is_only_at_one():
 
 def test_cache_cap_is_enforced():
     small = PolyBernoulliCache(n_cap=4)
-    assert small.stirling2(4, 2) == 7
-    with pytest.raises(ValueError, match="n_cap"):
-        small.stirling2(5, 2)
+    assert small.poly_bernoulli(4, 1) == poly_bernoulli(4, 1)
     with pytest.raises(ValueError, match="n_cap"):
         small.poly_bernoulli(5, 1)
 

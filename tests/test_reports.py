@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polybernoulli import verification
+from polybernoulli import generalized, verification
 from polybernoulli.exact import LA, X
 from polybernoulli.generalized import gen_pb_poly
 from polybernoulli.reports import IdentityReport, check
@@ -12,8 +12,9 @@ from polybernoulli.series import PowerSeries, gf_iterated_integral, gf_poly_bern
 
 
 def test_check_counts_every_case_of_a_pass():
-    report = check("C1", "squares", "0..4", "-", ((f"n={n}", n * n, n**2) for n in range(5)))
+    report = check("C1", "squares", 4, "-", ((f"n={n}", n * n, n**2) for n in range(5)))
     assert report.passed and report.witness == ""
+    assert (report.n_range, report.k_range) == ("0..4", "-")
     assert report.cases == 5
     assert report.elapsed_ms >= 0
 
@@ -26,7 +27,7 @@ def test_check_stops_at_the_first_mismatch():
             consumed.append(n)
             yield f"n={n}", n, -1 if n == 3 else n
 
-    report = check("C1", "planted", "0..9", "-", cases())
+    report = check("C1", "planted", 9, "-", cases())
     assert not report.passed
     assert report.cases == 4
     assert consumed == [0, 1, 2, 3]
@@ -34,17 +35,19 @@ def test_check_stops_at_the_first_mismatch():
 
 
 def test_check_witness_forms():
-    poly = check("E2", "planted", "0..0", "-", [("k=0", X + 1, X)])
+    poly = check("E2", "planted", 0, "-", [("k=0", X + 1, X)])
     assert poly.witness == "k=0: diff 1"
-    scalar = check("T1.11", "planted", "0..0", "1", [("n=0 k=1", Fraction(1, 2), Fraction(1, 3))])
+    scalar = check("T1.11", "planted", 0, range(1, 2),
+                   [("n=0 k=1", Fraction(1, 2), Fraction(1, 3))])
     assert scalar.witness == "n=0 k=1: 1/2 vs 1/3"
-    mixed = check("T1.12", "planted", "0..0", "1", [("n=0", 2 * LA, 0)])
+    mixed = check("T1.12", "planted", 0, range(-3, 4), [("n=0", 2 * LA, 0)])
     assert mixed.witness == "n=0: diff 2*La"
+    assert (scalar.k_range, mixed.k_range) == ("1..1", "-3..3")
 
 
 def test_tuple_witness_names_the_first_differing_part():
     p = gen_pb_poly(4, 4)
-    report = check("T2.17", "planted", "0..4", "4",
+    report = check("T2.17", "planted", 4, range(4, 5),
                    [("n=4 k=4 (symbolic forms)", (p, p), (p, p + X**5))])
     assert report.witness == "n=4 k=4 (symbolic forms) [1]: diff -X^5"
 
@@ -62,9 +65,22 @@ def test_series_witness_names_the_first_differing_coefficient(monkeypatch):
 
 def test_zero_cases_is_not_a_pass():
     with pytest.raises(ValueError, match="checked no cases"):
-        check("T5", "empty grid", "0..3", "1", iter(()))
+        check("T5", "empty grid", 3, "1", iter(()))
     with pytest.raises(ValueError, match="checked no cases"):
         IdentityReport("C1", "built by hand", "0..1", "-", True, cases=0)
+
+
+@pytest.mark.parametrize("verify", [
+    generalized.verify_theorem1,
+    generalized.verify_theorem2,
+    generalized.verify_theorem3,
+    generalized.verify_theorem4,
+    verification.verify_pb_closed_form,
+    verification.verify_gen_numbers_anchor,
+])
+def test_an_empty_k_range_checks_no_cases(verify):
+    with pytest.raises(ValueError, match="checked no cases"):
+        verify(2, range(0))
 
 
 def test_report_equality_ignores_elapsed_time():
@@ -82,7 +98,7 @@ def test_json_carries_cases_and_time():
 
 
 def test_failing_json_carries_the_witness_clipped_to_240_characters():
-    report = check("C1", "planted", "0..0", "-", iter([("n=0", "x" * 300, "y")]))
+    report = check("C1", "planted", 0, "-", iter([("n=0", "x" * 300, "y")]))
     obj = report.as_json_obj()
     assert obj["status"] == "fail"
     assert obj["witness"] == report.witness

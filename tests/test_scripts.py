@@ -1,11 +1,14 @@
-"""Smoke tests for the script in scripts/."""
+"""Smoke tests for the scripts in scripts/, and the benchmark records at the repo root."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
 def _load(name):
@@ -37,3 +40,16 @@ def test_lonesum_counts_negative_bound_exits_two(capsys, argv, message):
     assert captured.out == ""
     last = captured.err.splitlines()[-1]
     assert "error: " in last and message in last
+
+
+def test_a_benchmark_record_is_committed():
+    assert BENCH_RECORDS
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda path: path.name)
+def test_benchmark_record_reads_correct_on_every_workload(path):
+    record = json.loads(path.read_text())
+    for block in ("untraced", "traced"):
+        runs = record[block]
+        assert {"verify", "construct", "series"} <= runs.keys()
+        assert all(run["result"]["correct"] is True for run in runs.values())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from polybernoulli import verification
 from polybernoulli.generalized import gen_pb_numbers
 from polybernoulli.reports import all_passed
 from polybernoulli.verification import (
@@ -25,6 +26,22 @@ def test_negative_index_reports_three_views():
     reports = verify_negative_index(n_max=6)
     assert [r.identity_id for r in reports] == ["ORACLE"] * 3
     assert len({r.detail for r in reports}) == 3
+
+
+def test_a_planted_defect_in_the_double_stirling_sum_fails_against_the_series(monkeypatch):
+    # both closed forms carry the defect, so only the series oracle can see it
+    negative, plain = verification.poly_bernoulli_negative, verification.poly_bernoulli
+
+    def planted(n, k):
+        return negative(n, k) + (n == k == 5)
+
+    monkeypatch.setattr(verification, "poly_bernoulli_negative", planted)
+    monkeypatch.setattr(verification, "poly_bernoulli",
+                        lambda n, k: planted(n, -k) if k <= 0 else plain(n, k))
+    agreement, duality, integrality = verify_negative_index(n_max=12)
+    assert not agreement.passed
+    assert agreement.witness.startswith("n=5 k=-5 [1]: ")
+    assert duality.passed and integrality.passed
 
 
 def test_run_suite_selects_one_family():
