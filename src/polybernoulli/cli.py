@@ -44,42 +44,45 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _require_nonnegative(parser: argparse.ArgumentParser, n: int) -> None:
+def _nonnegative(text: str) -> int:
+    """The argparse type of a lower index or its bound: an int that is not negative."""
+    n = int(text)
     if n < 0:
-        parser.error("n must be non-negative")
+        raise argparse.ArgumentTypeError("n must be non-negative")
+    return n
 
 
-def cmd_number(args) -> int:
-    _require_nonnegative(args.parser, args.n)
-    if args.generalized:
-        value = render(gen_pb_numbers(args.n, args.k))
-    else:
-        value = format_rational(poly_bernoulli(args.n, args.k))
+# One row per value command: help, --generalized help, JSON key, and the
+# plain and generalized text builders.  The builders look their functions up
+# when called, so a rebound module name takes effect.
+_VALUE_COMMANDS = {
+    "number": (
+        "print one poly-Bernoulli value",
+        "keep the parameters a, b formal; prints a polynomial in ln(a), ln(b)",
+        "value",
+        lambda n, k: format_rational(poly_bernoulli(n, k)),
+        lambda n, k: render(gen_pb_numbers(n, k)),
+    ),
+    "polynomial": (
+        "print one poly-Bernoulli polynomial",
+        "keep a, b, c formal; prints a polynomial in x, ln(a), ln(b), ln(c)",
+        "polynomial",
+        lambda n, k: render(poly_bernoulli_poly(n, k)),
+        lambda n, k: render(gen_pb_poly(n, k)),
+    ),
+}
+
+
+def cmd_value(args) -> int:
+    text = args.builders[args.generalized](args.n, args.k)
     if args.format == "json":
-        _emit_json({"n": args.n, "k": args.k, "generalized": args.generalized, "value": value})
-    else:
-        print(value)
-    return 0
-
-
-def cmd_polynomial(args) -> int:
-    _require_nonnegative(args.parser, args.n)
-    if args.generalized:
-        poly = gen_pb_poly(args.n, args.k)
-    else:
-        poly = poly_bernoulli_poly(args.n, args.k)
-    text = render(poly)
-    if args.format == "json":
-        _emit_json(
-            {"n": args.n, "k": args.k, "generalized": args.generalized, "polynomial": text}
-        )
+        _emit_json({"n": args.n, "k": args.k, "generalized": args.generalized, args.key: text})
     else:
         print(text)
     return 0
 
 
 def cmd_table(args) -> int:
-    _require_nonnegative(args.parser, args.n_max)
     if args.k_min > args.k_max:
         args.parser.error("the k range is empty")
     DEFAULT_CACHE._check_cap(n=args.n_max)
@@ -138,32 +141,26 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _eval_generalized(args, n: int):
-    parser = args.parser
-    if args.ln_a is None or args.ln_b is None:
-        parser.error("--generalized evaluation needs --ln-a and --ln-b")
-    try:
-        if args.poly is not None:
-            if args.ln_c is None or args.x is None:
-                parser.error("--generalized polynomial evaluation needs --ln-c and -x")
-            series = gen_pb_poly_series(args.k, args.ln_a, args.ln_b, args.ln_c, args.x, n)
-        else:
-            series = gen_pb_numbers_series(args.k, args.ln_a, args.ln_b, n)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return series, series.coefficient(n) * factorial(n)
-
-
 def cmd_eval(args) -> int:
     parser = args.parser
     n = args.number if args.number is not None else args.poly
-    _require_nonnegative(parser, n)
     if args.number is not None and (args.x is not None or args.ln_c is not None):
         parser.error("-x and --ln-c apply only to --poly")
 
     series_text = None
     if args.generalized:
-        series, value = _eval_generalized(args, n)
+        if args.ln_a is None or args.ln_b is None:
+            parser.error("--generalized evaluation needs --ln-a and --ln-b")
+        if args.poly is not None and (args.ln_c is None or args.x is None):
+            parser.error("--generalized polynomial evaluation needs --ln-c and -x")
+        try:
+            if args.poly is not None:
+                series = gen_pb_poly_series(args.k, args.ln_a, args.ln_b, args.ln_c, args.x, n)
+            else:
+                series = gen_pb_numbers_series(args.k, args.ln_a, args.ln_b, n)
+        except ValueError as exc:
+            parser.error(str(exc))
+        value = series.coefficient(n) * factorial(n)
         if args.show_series:
             series_text = format_series(series)
     else:
@@ -203,30 +200,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("number", help="print one poly-Bernoulli value")
-    sub.add_argument("-n", type=int, required=True, help="lower index")
-    sub.add_argument("-k", type=int, required=True, help="upper index (any integer)")
-    sub.add_argument(
-        "--generalized",
-        action="store_true",
-        help="keep the parameters a, b formal; prints a polynomial in ln(a), ln(b)",
-    )
-    _add_format(sub)
-    sub.set_defaults(func=cmd_number, parser=sub)
-
-    sub = subs.add_parser("polynomial", help="print one poly-Bernoulli polynomial")
-    sub.add_argument("-n", type=int, required=True, help="lower index")
-    sub.add_argument("-k", type=int, required=True, help="upper index (any integer)")
-    sub.add_argument(
-        "--generalized",
-        action="store_true",
-        help="keep a, b, c formal; prints a polynomial in x, ln(a), ln(b), ln(c)",
-    )
-    _add_format(sub)
-    sub.set_defaults(func=cmd_polynomial, parser=sub)
+    for name, (help_text, generalized_help, key, plain, generalized) in _VALUE_COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("-n", type=_nonnegative, required=True, help="lower index")
+        sub.add_argument("-k", type=int, required=True, help="upper index (any integer)")
+        sub.add_argument("--generalized", action="store_true", help=generalized_help)
+        _add_format(sub)
+        sub.set_defaults(func=cmd_value, parser=sub, key=key, builders=(plain, generalized))
 
     sub = subs.add_parser("table", help="print a grid of plain values")
-    sub.add_argument("--n-max", "--nmax", type=int, default=8)
+    sub.add_argument("--n-max", "--nmax", type=_nonnegative, default=8)
     sub.add_argument("--k-min", "--kmin", type=int, default=-3)
     sub.add_argument("--k-max", "--kmax", type=int, default=3)
     _add_format(sub, choices=("text", "json", "csv"))
@@ -246,8 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         "eval", help="evaluate at rational points (generalized goes through the series)"
     )
     target = sub.add_mutually_exclusive_group(required=True)
-    target.add_argument("--number", type=int, metavar="N", help="evaluate the n=N value")
-    target.add_argument("--poly", type=int, metavar="N", help="evaluate the n=N polynomial")
+    target.add_argument("--number", type=_nonnegative, metavar="N", help="evaluate the n=N value")
+    target.add_argument(
+        "--poly", type=_nonnegative, metavar="N", help="evaluate the n=N polynomial"
+    )
     sub.add_argument("-k", type=int, required=True)
     sub.add_argument("--generalized", action="store_true")
     sub.add_argument("--ln-a", type=parse_rational, default=None, metavar="Q")

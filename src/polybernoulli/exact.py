@@ -16,8 +16,8 @@ nonzero ints, and one int.  Every result has the content it shares with the
 denominator divided out, so equal polynomials have equal storage: equality
 is plain map equality, and zero is the empty map over 1.  Ring operations,
 substitution, calculus and evaluation run on Python ints; ``Fraction``s are
-built only at the edges (``items``, ``coefficient``, ``constant_value``,
-``format_poly`` and the value ``eval`` returns).
+built only at the edges (``items``, ``coefficient``, ``constant_value`` and
+the value ``eval`` returns).
 
 Every power and every binomial sum in the closed forms is built by one
 routine here: ``powers`` and ``binomial_convolution``.  Every sum, difference,
@@ -455,6 +455,30 @@ def _term_sort_key(exps):
     return (sum(exps), exps)
 
 
+def _join_terms(terms) -> str:
+    """A signed sum of ``(numerator, denominator, factor texts)`` terms.
+
+    The one term joiner of both text forms.  Each magnitude is written as
+    ``format_rational`` writes it, reduced by one ``gcd``, and is left out
+    when it is 1 and the term has factors.  A term's numerator is a nonzero
+    int and its denominator positive; no terms at all give ``0``.
+    """
+    parts = []
+    for num, den, factors in terms:
+        g = gcd(num, den)
+        top, bottom = abs(num) // g, den // g
+        mag = str(top) if bottom == 1 else f"{top}/{bottom}"
+        if not factors:
+            body = mag
+        elif mag == "1":
+            body = "*".join(factors)
+        else:
+            body = "*".join([mag, *factors])
+        sign = (" - " if num < 0 else " + ") if parts else ("-" if num < 0 else "")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
 def format_poly(p: MultiPoly, names: Mapping[str, str] | None = None) -> str:
     """Render a polynomial as a sorted sum of terms.
 
@@ -469,28 +493,10 @@ def format_poly(p: MultiPoly, names: Mapping[str, str] | None = None) -> str:
     for idx, var in enumerate(VARIABLES):
         if var not in names and any(exps[idx] for exps in p._num):
             raise ValueError(f"no name for indeterminate: {var}")
-    if p.is_zero():
-        return "0"
     spelled = [(_index(var), name) for var, name in names.items()]
-    parts = []
-    for exps in sorted(p._num, key=_term_sort_key, reverse=True):
-        coeff = Fraction(p._num[exps], p._den)
-        factors = []
-        for idx, name in spelled:
-            e = exps[idx]
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag), *factors])
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(parts)
+
+    def term(exps):
+        factors = [name if exps[i] == 1 else f"{name}^{exps[i]}" for i, name in spelled if exps[i]]
+        return p._num[exps], p._den, factors
+
+    return _join_terms(map(term, sorted(p._num, key=_term_sort_key, reverse=True)))

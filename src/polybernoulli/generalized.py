@@ -65,7 +65,6 @@ __all__ = [
     "gen_pb_poly_series",
     "pb_derivative",
     "pb_definite_integral",
-    "gen_numbers_oracle_cases",
     "verify_theorem1",
     "verify_theorem2",
     "verify_theorem3",
@@ -75,17 +74,18 @@ __all__ = [
 ]
 
 _F1_2 = Fraction(1, 2)
-# Oracle points (ln a, ln b) and (ln a, ln b, ln c, x); ln a + ln b != 0 in each.
-_POINTS_2 = (
+# Oracle points, binding (La, Lb) and (La, Lb, Lc, X); ln a + ln b != 0 in each.
+_POINTS_2 = tuple(dict(zip(("La", "Lb"), point)) for point in (
     (Fraction(-5), Fraction(0)),
     (Fraction(-1, 2), Fraction(-5, 6)),
     (Fraction(-6, 5), Fraction(5)),
-)
-_POINTS_4 = (
+))
+_POINTS_4 = tuple(dict(zip(("La", "Lb", "Lc", "X"), point)) for point in (
     (Fraction(-7, 3), Fraction(-1), Fraction(1, 2), Fraction(-5, 4)),
     (Fraction(7, 5), Fraction(-8, 5), Fraction(1), Fraction(3, 5)),
     (Fraction(5, 4), Fraction(-3), Fraction(-5), Fraction(2)),
-)
+))
+_POINT_NAMES = {"La": "ln a", "Lb": "ln b", "Lc": "ln c", "X": "x"}
 _Y_VALUES = (Fraction(0), Fraction(1, 2), Fraction(-1, 3))
 _BOUNDS = (
     (Fraction(0), Fraction(1)),
@@ -156,8 +156,6 @@ def pb_derivative(n: int, k: int, l: int) -> MultiPoly:
 
     Purely formal term calculus; for l > n the result is zero.
     """
-    if l < 0:
-        raise ValueError("the derivative count must be non-negative")
     return gen_pb_poly(n, k).diff("X", l)
 
 
@@ -182,29 +180,20 @@ def _nk_cases(ks, n_max: int, lhs, rhs):
             yield f"n={n} k={k}", lhs(n, k), rhs(n, k)
 
 
-def gen_numbers_oracle_cases(n_max: int, ks):
-    """Series oracle against the two-parameter closed form at the fixed points.
+def _oracle_cases(n_max: int, ks, points, series, closed):
+    """Series oracle against a closed form at fixed rational points.
 
+    Each point binds the indeterminates ``_POINT_NAMES`` spells, in the order
+    ``series(k, *point, order)`` takes them; ``closed(n, k)`` is read there.
     One oracle expansion per (k, point) serves every n up to n_max.
     """
     for k in ks:
-        for la, lb in _POINTS_2:
-            s = gen_pb_numbers_series(k, la, lb, n_max)
+        for point in points:
+            s = series(k, *point.values(), n_max)
+            names = ", ".join(_POINT_NAMES[name] for name in point)
+            where = f"k={k} at ({names})=({','.join(map(str, point.values()))})"
             for n in range(n_max + 1):
-                closed = gen_pb_numbers(n, k).eval({"La": la, "Lb": lb})
-                label = f"n={n} k={k} at (ln a, ln b)=({la},{lb})"
-                yield label, s.coefficient(n) * factorial(n), closed
-
-
-def _gen_poly_oracle_cases(n_max: int, ks):
-    for k in ks:
-        for la, lb, lc, x0 in _POINTS_4:
-            s = gen_pb_poly_series(k, la, lb, lc, x0, n_max)
-            point = {"X": x0, "La": la, "Lb": lb, "Lc": lc}
-            label = f"k={k} at (ln a, ln b, ln c, x)=({la},{lb},{lc},{x0})"
-            for n in range(n_max + 1):
-                closed = gen_pb_poly(n, k).eval(point)
-                yield f"n={n} {label}", s.coefficient(n) * factorial(n), closed
+                yield f"n={n} {where}", s.coefficient(n) * factorial(n), closed(n, k).eval(point)
 
 
 # -- identity suites -------------------------------------------------------
@@ -233,12 +222,14 @@ def verify_theorem1(n_max: int, ks: range) -> list[IdentityReport]:
 
     return [
         check("T1.11", "two-parameter values match the series oracle at seeded rational points",
-              n_max, ks, gen_numbers_oracle_cases(n_max, ks)),
+              n_max, ks,
+              _oracle_cases(n_max, ks, _POINTS_2, gen_pb_numbers_series, gen_pb_numbers)),
         check("T1.12", "substituted-polynomial and alternating-sum constructions agree",
               n_max, ks, _nk_cases(ks, n_max, gen_pb_numbers, gen_pb_numbers_by_sum)),
         check("T1.13",
               "three-parameter polynomials match the series oracle at seeded rational points",
-              n_max, ks, _gen_poly_oracle_cases(n_max, ks)),
+              n_max, ks,
+              _oracle_cases(n_max, ks, _POINTS_4, gen_pb_poly_series, gen_pb_poly)),
         check("T1.14", "shifting x by one equals moving a factor of c from b to a",
               n_max, ks, _nk_cases(ks, n_max, shifted, c_moved)),
         check("T1.15",

@@ -81,10 +81,7 @@ class PolyBernoulliCache:
         """Raise ValueError naming the first requested index above the cap."""
         for name, value in indices.items():
             if value > self.n_cap:
-                raise ValueError(
-                    f"{name}={value} exceeds the cache cap {self.n_cap}; "
-                    "construct PolyBernoulliCache(n_cap=...) for larger tables"
-                )
+                raise ValueError(f"{name}={value} exceeds the cache cap {self.n_cap}")
 
     def poly_bernoulli(self, n: int, k: int) -> Fraction:
         """Poly-Bernoulli number, any integer upper index k.

@@ -14,7 +14,7 @@ integer-coefficient ``MultiPoly`` where a coefficient is a polynomial (as in
 is constant, and compares and hashes equal to its value.  Both kinds go
 through the same loops.  Ring operations, division, composition and the
 constructors run on these numerators; ``Fraction``s are built only at the
-edges: ``coeffs``, ``coefficient`` and ``format_series``.
+edges: ``coeffs`` and ``coefficient``.
 
 Division is valuation-aware: numerator and denominator are both shifted down
 by the denominator's valuation before the usual recurrence runs, so quotients
@@ -36,7 +36,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence, Union
 
-from .exact import MultiPoly, _as_fraction, format_poly, format_rational
+from .exact import _ZERO_EXPS, MultiPoly, _as_fraction, _join_terms, format_poly
 
 __all__ = [
     "PowerSeries",
@@ -410,32 +410,21 @@ def gf_iterated_integral(k: int, order: int) -> PowerSeries:
 # -- pretty printing -------------------------------------------------------
 
 
-def _coeff_text(c) -> tuple[str, bool]:
-    """Render one coefficient; the flag says whether it is a bare negative."""
-    if isinstance(c, MultiPoly) and not c.is_constant():
-        return f"({format_poly(c)})", False
-    value = c.constant_value() if isinstance(c, MultiPoly) else Fraction(c)
-    return format_rational(abs(value)), value < 0
-
-
 def format_series(s: PowerSeries) -> str:
-    """Human-oriented rendering, e.g. ``1 + 1/2*t + 1/12*t^2 + O(t^3)``."""
-    parts: list[str] = []
-    for n, c in enumerate(s.coeffs):
-        if c == 0:
+    """Human-oriented rendering, e.g. ``1 + 1/2*t + 1/12*t^2 + O(t^3)``.
+
+    A coefficient that is a non-constant polynomial is a bracketed factor.
+    """
+    terms = []
+    for n, c in enumerate(s._num):
+        if not c:
             continue
-        text, negative = _coeff_text(c)
-        power = "" if n == 0 else ("t" if n == 1 else f"t^{n}")
-        if power and text == "1":
-            body = power
-        elif power:
-            body = f"{text}*{power}"
+        power = [] if n == 0 else ["t" if n == 1 else f"t^{n}"]
+        if not isinstance(c, MultiPoly):
+            terms.append((c, s._den, power))
+        elif c.is_constant():
+            # an integer numerator polynomial is over 1
+            terms.append((c._num[_ZERO_EXPS], s._den, power))
         else:
-            body = text
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f" - {body}" if negative else f" + {body}")
-    if not parts:
-        parts.append("0")
-    return "".join(parts) + f" + O(t^{s.order + 1})"
+            terms.append((1, 1, [f"({format_poly(_coeff(c, s._den))})", *power]))
+    return _join_terms(terms) + f" + O(t^{s.order + 1})"

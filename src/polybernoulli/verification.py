@@ -19,7 +19,9 @@ from math import factorial
 
 from .euler import verify_euler_identities
 from .generalized import (
-    gen_numbers_oracle_cases,
+    _POINTS_2,
+    _oracle_cases,
+    gen_pb_numbers,
     verify_corollary1,
     verify_theorem1,
     verify_theorem2,
@@ -29,7 +31,7 @@ from .generalized import (
 )
 from .numbers import DEFAULT_CACHE, poly_bernoulli, poly_bernoulli_negative
 from .reports import IdentityReport, check
-from .series import gf_iterated_integral, gf_poly_bernoulli
+from .series import gen_pb_numbers_series, gf_iterated_integral, gf_poly_bernoulli
 
 __all__ = [
     "SUITE_NAMES",
@@ -101,7 +103,8 @@ def verify_gen_numbers_anchor(n_max: int, ks: range) -> list[IdentityReport]:
     """Two-parameter closed form pinned to its series oracle on a wider grid."""
     return [
         check("ORACLE", "two-parameter closed form anchored to the series oracle",
-              n_max, ks, gen_numbers_oracle_cases(n_max, ks))
+              n_max, ks,
+              _oracle_cases(n_max, ks, _POINTS_2, gen_pb_numbers_series, gen_pb_numbers))
     ]
 
 

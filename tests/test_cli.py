@@ -1,8 +1,11 @@
 """Command-line behavior: golden outputs, formats, and exit codes."""
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +286,31 @@ def test_bad_input_exits_two_with_one_line_message(capsys, argv, message):
 def test_cap_error_names_the_requested_n(argv):
     with pytest.raises(ValueError, match="^n=70 exceeds the cache cap 64"):
         cli.main(argv.split())
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+def test_small_requests_replay_the_benchmark_reference_digests():
+    # read-only: the reference table's number, polynomial, table and eval
+    # requests whose integer tokens are all at most 12
+    digests = json.loads(REFERENCES.read_text())["digests"]
+    requests = {
+        key: digest
+        for key, digest in digests.items()
+        if key.split()[0] in ("number", "polynomial", "table", "eval")
+        and max(int(t) for t in key.split() if t.lstrip("-").isdigit()) <= 12
+    }
+    assert len(requests) == 485
+    wrong = []
+    for key, digest in requests.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(key.split())
+        got = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+        if (code, got) != (0, digest):
+            wrong.append((key, code))
+    assert wrong == []
 
 
 def test_version_flag(capsys):

@@ -157,6 +157,11 @@ def test_derivative_matches_scaled_polynomial():
     assert pb_derivative(2, 2, 5).is_zero()
 
 
+def test_derivative_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="derivative order"):
+        pb_derivative(2, 2, -1)
+
+
 def test_definite_integral_hand_values():
     got = pb_definite_integral(1, 1, 0, 1)
     assert got == F(1, 2) * LC + F(1, 2) * (LA + LB) - LB

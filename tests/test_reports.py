@@ -83,6 +83,13 @@ def test_an_empty_k_range_checks_no_cases(verify):
         verify(2, range(0))
 
 
+def test_the_witness_is_present_exactly_when_the_report_fails():
+    with pytest.raises(ValueError, match="^a passing report cannot carry a witness$"):
+        IdentityReport("C1", "d", "0..1", "-", True, "n=0: 1 vs 2", cases=1)
+    with pytest.raises(ValueError, match="^a failing report must carry a witness$"):
+        IdentityReport("C1", "d", "0..1", "-", False, cases=1)
+
+
 def test_report_equality_ignores_elapsed_time():
     first = IdentityReport("C1", "d", "0..1", "-", True, cases=2, elapsed_ms=1.0)
     second = IdentityReport("C1", "d", "0..1", "-", True, cases=2, elapsed_ms=9.0)

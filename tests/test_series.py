@@ -74,6 +74,13 @@ def test_constructor_rejects_empty_and_bad_order():
         PowerSeries.identity(0)
 
 
+def test_coefficient_past_the_order_is_refused():
+    s = series_of(1, 2, 3)
+    assert s.coefficient(2) == 3
+    with pytest.raises(IndexError, match="^coefficient 3 beyond truncation order 2$"):
+        s.coefficient(3)
+
+
 def test_valuation():
     assert series_of(0, 0, 5).valuation() == 2
     assert series_of(1, 2).valuation() == 0
