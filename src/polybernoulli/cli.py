@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from math import factorial
@@ -248,9 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use through ``build_parser``.
+
+    Parsing leaves the parser as it was, so every ``main`` call can share it;
+    ``build_parser`` itself still returns a new parser on each call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

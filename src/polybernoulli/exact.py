@@ -35,6 +35,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd, lcm, perm
 from operator import mul
@@ -440,8 +441,15 @@ CANONICAL_NAMES = {name: name for name in VARIABLES}
 
 
 def format_rational(q: Scalar) -> str:
-    """Canonical text form: ``p/q``, or just ``p`` when the denominator is 1."""
-    return str(_as_fraction(q))
+    """Canonical text form: ``p/q``, or just ``p`` when the denominator is 1.
+
+    Exact at any size, also past the interpreter's limit on int-to-text digits.
+    """
+    q = _as_fraction(q)
+    try:
+        return str(q)
+    except ValueError:  # past the int-to-text digit limit
+        return _join_terms([(q.numerator, q.denominator, ())])
 
 
 def parse_rational(text: str) -> Fraction:
@@ -460,14 +468,18 @@ def _join_terms(terms) -> str:
 
     The one term joiner of both text forms.  Each magnitude is written as
     ``format_rational`` writes it, reduced by one ``gcd``, and is left out
-    when it is 1 and the term has factors.  A term's numerator is a nonzero
-    int and its denominator positive; no terms at all give ``0``.
+    when it is 1 and the term has factors, and written exactly at any size.  A
+    term's numerator is a nonzero int and its denominator positive; no terms
+    at all give ``0``.
     """
     parts = []
     for num, den, factors in terms:
         g = gcd(num, den)
         top, bottom = abs(num) // g, den // g
-        mag = str(top) if bottom == 1 else f"{top}/{bottom}"
+        try:
+            mag = str(top) if bottom == 1 else f"{top}/{bottom}"
+        except ValueError:  # past the int-to-text digit limit; Decimal has none
+            mag = str(Decimal(top)) if bottom == 1 else f"{Decimal(top)}/{Decimal(bottom)}"
         if not factors:
             body = mag
         elif mag == "1":

@@ -26,7 +26,11 @@ coefficients only; there too a constant polynomial counts as its value.
 The generating-function constructors at the bottom build the series whose
 normalized coefficients are poly-Bernoulli numbers: the two-parameter series
 at a rational (ln a, ln b) point, its plain specialization at (1, 0), and the
-equivalent nested-integration recipe.
+equivalent nested-integration recipe.  The two-parameter numerator
+``Li_k(1 - (ab)^{-t})`` is an exponential sum (``ps_exp_poly``), built in
+``O(N^2)`` integer operations, so no oracle path composes series:
+``ps_compose`` is a general primitive, and the tests' reference for that
+numerator.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "PowerSeries",
     "ps_div",
     "ps_compose",
+    "ps_exp_poly",
     "ps_exp_linear",
     "polylog_series",
     "gen_pb_numbers_series",
@@ -294,6 +299,9 @@ def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     coefficient counts as its value, and one that is not constant raises
     ``ValueError``.  The result has the smaller of the two orders.
 
+    A general primitive: the series oracle builds its numerator as an
+    exponential sum instead, and the tests compare that sum against this.
+
     Horner's scheme from the top coefficient down, on the stored numerators:
     with ``outer`` and ``inner`` each over its own denominator, the running
     value is ``outer``'s denominator times the partial sum, an integer vector
@@ -322,24 +330,46 @@ def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     return PowerSeries._from_parts(num, den * outer._den)
 
 
-def ps_exp_linear(c, order: int) -> PowerSeries:
-    """The exponential ``e^{c t}`` truncated at ``order``.
+def ps_exp_poly(weights: Sequence, c, order: int) -> PowerSeries:
+    """The exponential sum ``sum_j weights[j] e^{j c t}`` truncated at ``order``.
 
-    ``c`` may be a Fraction or a MultiPoly (e.g. ``X*Lc``), so parameterized
-    exponentials like ``c^{x t}`` stay exact.  With ``c = p/q``, the
-    coefficient of ``t^n`` is ``p^n q^{N-n} N!/n!`` over ``q^N N!``.
+    The weights are rationals; ``c`` may be a Fraction or a MultiPoly (e.g.
+    ``X*Lc``), so parameterized exponentials like ``c^{x t}`` stay exact.
+    The coefficient of ``t^n`` is ``c^n / n!`` times the moment
+    ``sum_j weights[j] j^n``.  With ``c = p/q`` and the weights ``w_j`` over
+    one denominator, that is ``p^n q^{N-n} N!/n! sum_j w_j j^n`` over
+    ``q^N N!``; the moments take ``O(N len(weights))`` integer products.
     """
     _check_order(order)
     p, q = _split(c)
-    num = [1]
-    for _ in range(order):
-        num.append(num[-1] * p)
+    w = PowerSeries(weights)  # the weights as integers over one denominator
+    num = [0] * (order + 1)  # the moments sum_j w_j j^n
+    for j, term in enumerate(w._num):
+        for n in range(order + 1):
+            if not term:  # a zero weight, or j = 0 past n = 0
+                break
+            num[n] += term
+            term *= j
     weight = 1  # q^(N - n) N!/n!
     for n in range(order, 0, -1):
-        num[n] = num[n] * weight
+        num[n] *= weight
         weight *= q * n
-    num[0] = weight
-    return PowerSeries._from_parts(num, weight)
+    num[0] *= weight
+    power = 1  # p^n, last, so a polynomial c costs two products per order
+    for n in range(1, order + 1):
+        power = power * p
+        num[n] = power * num[n]
+    return PowerSeries._from_parts(num, weight * w._den)
+
+
+def ps_exp_linear(c, order: int) -> PowerSeries:
+    """The exponential ``e^{c t}`` truncated at ``order``.
+
+    The exponential sum :func:`ps_exp_poly` with the weights ``(0, 1)``, so
+    the module has one exponential loop; the oracle's polylog numerator is
+    the same loop with the weights of ``Li_k`` at ``1 - w``.
+    """
+    return ps_exp_poly((0, 1), c, order)
 
 
 def polylog_series(k: int, order: int) -> PowerSeries:
@@ -357,6 +387,21 @@ def polylog_series(k: int, order: int) -> PowerSeries:
     return PowerSeries._from_parts([0] + [(scale // m) ** k for m in ms], scale**k)
 
 
+def _polylog_at_one_minus(k: int, degree: int) -> tuple[list[int], int]:
+    """``Li_k`` cut at ``degree`` and rewritten at ``z = 1 - w``: ``sum_j d_j w^j``.
+
+    ``d_j = (-1)^j sum_{i>=j} C(i, j) / i^k``.  Returns the integers ``D d_j``
+    for ``j = 0..degree`` and the polylog's one denominator ``D``.  A Taylor
+    shift by one, ``O(degree^2)`` integer additions, then the sign of ``w``.
+    """
+    li = polylog_series(k, degree)
+    d = list(li._num)
+    for i in range(degree):
+        for j in range(degree - 1, i - 1, -1):
+            d[j] += d[j + 1]
+    return [-c if j % 2 else c for j, c in enumerate(d)], li._den
+
+
 def gen_pb_numbers_series(k: int, ln_a, ln_b, order: int) -> PowerSeries:
     """Series oracle for the two-parameter values at one rational point.
 
@@ -364,14 +409,20 @@ def gen_pb_numbers_series(k: int, ln_a, ln_b, order: int) -> PowerSeries:
     to rationals; requires ``ln a + ln b != 0`` so the denominator keeps
     valuation one.  Internally everything is computed one order higher so the
     valuation-1 division still delivers the requested order.
+
+    The numerator is an exponential sum, with no composition: with ``Li_k``
+    cut at that order ``m`` and written as ``sum_j d_j w^j`` at ``z = 1 - w``,
+    it is ``sum_j d_j e^{-j (ln a + ln b) t}``.  That is exact to ``t^m``,
+    since ``1 - (ab)^{-t}`` has no constant term.
     """
     la, lb = _as_fraction(ln_a), _as_fraction(ln_b)
     if la + lb == 0:
         raise ValueError("degenerate parameter point: ln(a) + ln(b) = 0")
     _check_order(order)
     m = order + 1
-    inner = 1 - ps_exp_linear(-(la + lb), m)
-    num = ps_compose(polylog_series(k, m), inner)
+    weights, scale = _polylog_at_one_minus(k, m)
+    num = ps_exp_poly(weights, -(la + lb), m)
+    num = PowerSeries._from_parts(num._num, num._den * scale)  # the weights were D d_j
     den = ps_exp_linear(lb, m) - ps_exp_linear(-la, m)
     return ps_div(num, den)
 

@@ -5,6 +5,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -311,6 +315,66 @@ def test_small_requests_replay_the_benchmark_reference_digests():
         if (code, got) != (0, digest):
             wrong.append((key, code))
     assert wrong == []
+
+
+@pytest.fixture
+def cold_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch, cold_parser):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    calls = [
+        ("number", "-n", "3", "-k", "2", "--format", "json"),
+        ("number", "-n", "-1", "-k", "2"),
+        ("eval", "--number", "4", "-k", "2", "--generalized", "--ln-a", "1", "--ln-b=1/2"),
+    ]
+    outcomes = [_outcome(capsys, argv) for argv in calls]
+    assert len(built) == 1
+    assert [code for code, _ in outcomes] == [0, 2, 0]
+    for argv, outcome in zip(calls, outcomes):
+        cli._parser.cache_clear()
+        assert _outcome(capsys, argv) == outcome
+    assert len(built) == 4
+
+
+def test_build_parser_returns_a_new_parser_on_each_call():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("number", "-n", "3", "-k", "5000"),
+        ("polynomial", "-n", "3", "-k", "5000", "--generalized"),
+        ("eval", "--number", "3", "-k", "5000", "--generalized", "--ln-a=1", "--ln-b=1",
+         "--show-series"),
+    ],
+)
+def test_values_past_the_int_to_text_digit_limit_print_exactly(capsys, argv):
+    # 12^5000 has 5396 digits, past the interpreter's default limit of 4300;
+    # the reference is the output of an interpreter run without that limit
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+    src = str(Path(cli.__file__).resolve().parents[1])
+    unlimited = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=0", "-m", "polybernoulli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out == unlimited.stdout
 
 
 def test_version_flag(capsys):

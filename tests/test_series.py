@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polybernoulli import series
 from polybernoulli.exact import LA, LB, LC, MultiPoly, X
 from polybernoulli.series import (
     PowerSeries,
@@ -17,6 +18,7 @@ from polybernoulli.series import (
     ps_compose,
     ps_div,
     ps_exp_linear,
+    ps_exp_poly,
 )
 
 F = Fraction
@@ -318,11 +320,15 @@ def exp_powers(s):
 @pytest.mark.parametrize("s", [F(1), F(7, 15), F(-17, 12), F(3, 5)])
 def test_compose_polylog_matches_power_sum(k, s):
     # Both operands at a lower order are truncations of those at order 40,
-    # so one reference at order 40 serves every order.
+    # so one reference at order 40 serves every order.  The series oracle's
+    # numerator, Li_k cut at the order and rewritten at z = 1 - w, summed
+    # over w^j = e^{-j s t}, must meet the same reference.
     expected = power_sum_reference(polylog_series(k, 40), exp_powers(s))
     for order in range(1, 41):
-        got = ps_compose(polylog_series(k, order), 1 - ps_exp_linear(-s, order))
-        assert got == PowerSeries(expected.coeffs[: order + 1])
+        want = PowerSeries(expected.coeffs[: order + 1])
+        assert ps_compose(polylog_series(k, order), 1 - ps_exp_linear(-s, order)) == want
+        weights, den = series._polylog_at_one_minus(k, order)
+        assert ps_exp_poly(weights, -s, order) * F(1, den) == want
 
 
 def test_compose_rejects_polynomial_coefficients():
@@ -344,15 +350,27 @@ def test_compose_rejects_polynomial_coefficients():
 
 
 def test_exp_linear_rational():
-    e = ps_exp_linear(F(2), 3)
-    assert e.coeffs == (F(1), F(2), F(2), F(4, 3))
+    for e in (ps_exp_linear(F(2), 3), ps_exp_poly((0, 1), F(2), 3)):
+        assert e.coeffs == (F(1), F(2), F(2), F(4, 3))
 
 
 def test_exp_linear_polynomial_argument():
-    e = ps_exp_linear(X * LC, 2)
-    assert e.coeffs[0] == 1
-    assert e.coeffs[1] == X * LC
-    assert e.coeffs[2] == F(1, 2) * X**2 * LC**2
+    for e in (ps_exp_linear(X * LC, 2), ps_exp_poly((0, 1), X * LC, 2)):
+        assert e.coeffs[0] == 1
+        assert e.coeffs[1] == X * LC
+        assert e.coeffs[2] == F(1, 2) * X**2 * LC**2
+
+
+@given(st.lists(wide, min_size=1, max_size=6), mixed, st.integers(0, 10))
+@example([F(3), F(0), F(-1, 2)], X * LC, 4)
+@settings(max_examples=40)
+def test_exp_poly_matches_reference(weights, c, order):
+    # sum_j w_j e^{j c t}, each exponential by its factorial recurrence
+    reference = [F(0)] * (order + 1)
+    for j, w in enumerate(weights):
+        for n, term in enumerate(_reference_exp_linear(j * c, order)):
+            reference[n] = reference[n] + w * term
+    assert_matches(ps_exp_poly(weights, c, order), reference)
 
 
 def test_exp_functional_equation():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from polybernoulli import verification
-from polybernoulli.generalized import gen_pb_numbers
+from polybernoulli import series, verification
+from polybernoulli.generalized import gen_pb_numbers, verify_theorem1
 from polybernoulli.reports import all_passed
 from polybernoulli.verification import (
     SUITE_NAMES,
@@ -42,6 +42,27 @@ def test_a_planted_defect_in_the_double_stirling_sum_fails_against_the_series(mo
     assert not agreement.passed
     assert agreement.witness.startswith("n=5 k=-5 [1]: ")
     assert duality.passed and integrality.passed
+
+
+def test_a_planted_defect_in_the_series_numerator_fails_every_oracle_line(monkeypatch):
+    # the top weight d_m off by one; d_0 takes the opposite change, so the
+    # numerator still vanishes at t = 0 and every division still runs
+    weights = series._polylog_at_one_minus
+
+    def planted(k, degree):
+        d, den = weights(k, degree)
+        d[0] -= 1
+        d[-1] += 1
+        return d, den
+
+    monkeypatch.setattr(series, "_polylog_at_one_minus", planted)
+    t1 = {r.identity_id: r for r in verify_theorem1(n_max=6, ks=range(-2, 3))}
+    assert not t1["T1.11"].passed and not t1["T1.13"].passed
+    assert all(t1[i].passed for i in ("T1.12", "T1.14", "T1.15", "T1.16"))
+    (closed_form,) = verify_pb_closed_form(n_max=6, ks=range(-2, 3))
+    (iterated,) = verify_iterated_integral(n_max=6)
+    (anchor,) = verify_gen_numbers_anchor(n_max=6, ks=range(-2, 3))
+    assert not closed_form.passed and not iterated.passed and not anchor.passed
 
 
 def test_run_suite_selects_one_family():
