@@ -11,7 +11,8 @@ Subcommands:
 
 Exact rationals everywhere; output formats are text (default), json, and
 csv for tables.  Exit status is 0 on success, 1 when a verification suite
-fails, 2 on usage errors (including degenerate parameter points).
+fails, 2 on usage errors (including degenerate parameter points, and an
+index the guard refuses in ``table``, ``verify`` and ``eval``).
 
 Negative rational arguments need the ``--ln-b=-1/3`` form, since a bare
 ``-1/3`` token reads as an option.
@@ -27,9 +28,9 @@ import sys
 from math import factorial
 
 from . import __version__
-from .exact import MultiPoly, format_poly, format_rational, parse_rational, poly_eval
+from .exact import MultiPoly, format_poly, format_rational, parse_rational
 from .generalized import gen_pb_numbers, gen_pb_poly, gen_pb_poly_series
-from .numbers import DEFAULT_CACHE, poly_bernoulli, poly_bernoulli_poly
+from .numbers import check_index, k_range, poly_bernoulli, poly_bernoulli_poly
 from .reports import all_passed
 from .series import format_series, gen_pb_numbers_series
 from .verification import SUITE_NAMES, run_suite
@@ -84,10 +85,11 @@ def cmd_value(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.k_min > args.k_max:
-        args.parser.error("the k range is empty")
-    DEFAULT_CACHE._check_cap(n=args.n_max)
-    k_values = range(args.k_min, args.k_max + 1)
+    try:
+        k_values = k_range(args.k_min, args.k_max)
+        check_index(n=args.n_max)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     rows = [
         [format_rational(poly_bernoulli(n, k)) for k in k_values]
         for n in range(args.n_max + 1)
@@ -148,33 +150,35 @@ def cmd_eval(args) -> int:
     if args.number is not None and (args.x is not None or args.ln_c is not None):
         parser.error("-x and --ln-c apply only to --poly")
 
-    series_text = None
     if args.generalized:
         if args.ln_a is None or args.ln_b is None:
             parser.error("--generalized evaluation needs --ln-a and --ln-b")
         if args.poly is not None and (args.ln_c is None or args.x is None):
             parser.error("--generalized polynomial evaluation needs --ln-c and -x")
-        try:
-            if args.poly is not None:
-                series = gen_pb_poly_series(args.k, args.ln_a, args.ln_b, args.ln_c, args.x, n)
-            else:
-                series = gen_pb_numbers_series(args.k, args.ln_a, args.ln_b, n)
-        except ValueError as exc:
-            parser.error(str(exc))
-        value = series.coefficient(n) * factorial(n)
-        if args.show_series:
-            series_text = format_series(series)
     else:
         if args.show_series:
             parser.error("--show-series requires --generalized")
         if any(v is not None for v in (args.ln_a, args.ln_b, args.ln_c)):
             parser.error("parameter bindings require --generalized")
-        if args.poly is not None:
-            if args.x is None:
-                parser.error("polynomial evaluation needs -x")
-            value = poly_eval(poly_bernoulli_poly(args.poly, args.k), {"X": args.x})
+        if args.poly is not None and args.x is None:
+            parser.error("polynomial evaluation needs -x")
+
+    series_text = None
+    try:
+        if args.generalized:
+            if args.poly is not None:
+                series = gen_pb_poly_series(args.k, args.ln_a, args.ln_b, args.ln_c, args.x, n)
+            else:
+                series = gen_pb_numbers_series(args.k, args.ln_a, args.ln_b, n)
+            value = series.coefficient(n) * factorial(n)
+            if args.show_series:
+                series_text = format_series(series)
+        elif args.poly is not None:
+            value = poly_bernoulli_poly(n, args.k).eval({"X": args.x})
         else:
-            value = poly_bernoulli(args.number, args.k)
+            value = poly_bernoulli(n, args.k)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     text = format_rational(value)
     if args.format == "json":
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="machine-check the identity suites")
     sub.add_argument("--suite", choices=SUITE_NAMES, default="all")
     sub.add_argument(
-        "--n-max", "--nmax", type=int, default=None, help="override the suite default"
+        "--n-max", "--nmax", type=_nonnegative, default=None, help="override the suite default"
     )
     sub.add_argument("--k-min", "--kmin", type=int, default=None)
     sub.add_argument("--k-max", "--kmax", type=int, default=None)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 
 from .exact import LA, LB, LC, MultiPoly, X, binomial_convolution, homogeneous_substitute, powers
-from .numbers import DEFAULT_CACHE, _stirling_row
+from .numbers import _stirling_row, check_index
 from .reports import IdentityReport, check
 
 __all__ = ["euler_poly", "gen_euler_poly", "verify_euler_identities"]
@@ -33,9 +33,7 @@ def _euler_number(j: int) -> Fraction:
 @lru_cache(maxsize=None)
 def euler_poly(n: int) -> MultiPoly:
     """Classical Euler polynomial of degree n, as a MultiPoly in X."""
-    if n < 0:
-        raise ValueError("the index must be non-negative")
-    DEFAULT_CACHE._check_cap(n=n)
+    check_index(n=n)
     return binomial_convolution([_euler_number(j) for j in range(n + 1)], powers(X, n))
 
 

@@ -143,9 +143,6 @@ class MultiPoly:
         den = self._den
         return ((exps, Fraction(c, den)) for exps, c in self._num.items())
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def is_constant(self) -> bool:
         return not self._num or self._num.keys() == {_ZERO_EXPS}
 

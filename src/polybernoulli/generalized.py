@@ -51,7 +51,7 @@ from .exact import (
     homogeneous_substitute,
     powers,
 )
-from .numbers import classical_bernoulli, poly_bernoulli, poly_bernoulli_poly
+from .numbers import check_index, classical_bernoulli, poly_bernoulli, poly_bernoulli_poly
 from .reports import IdentityReport, check
 from .series import PowerSeries, gen_pb_numbers_series, ps_div, ps_exp_linear
 
@@ -105,8 +105,7 @@ def gen_pb_numbers(n: int, k: int) -> MultiPoly:
 
 def gen_pb_numbers_by_sum(n: int, k: int) -> MultiPoly:
     """The same value as an explicit alternating binomial sum (cross-check path)."""
-    if n < 0:
-        raise ValueError("the lower index must be non-negative")
+    check_index(n=n)
     scaled = [poly_bernoulli(i, k) * p for i, p in enumerate(powers(LA + LB, n))]
     return binomial_convolution(scaled, powers(-LB, n))
 
@@ -129,16 +128,14 @@ def gen_pb_poly_assembled(n: int, k: int) -> MultiPoly:
     X out of the numerator, so this route never reads the one substitution
     that builds :func:`gen_pb_poly`; the two share only the plain numbers.
     """
-    if n < 0:
-        raise ValueError("the lower index must be non-negative")
+    check_index(n=n)
     return binomial_convolution([gen_pb_numbers(l, k) for l in range(n + 1)], powers(X * LC, n))
 
 
 def gen_pb_poly_double_sum(n: int, k: int) -> MultiPoly:
     """Same polynomial as a double binomial sum: the convolution of the
     alternating sums :func:`gen_pb_numbers_by_sum` with powers of ``X * Lc``."""
-    if n < 0:
-        raise ValueError("the lower index must be non-negative")
+    check_index(n=n)
     inner = [gen_pb_numbers_by_sum(l, k) for l in range(n + 1)]
     return binomial_convolution(inner, powers(X * LC, n))
 

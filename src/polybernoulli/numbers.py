@@ -16,10 +16,11 @@ Stirling rows and poly-Bernoulli values are memoized by ``lru_cache`` on pure
 functions that return immutable values, so one memo is shared across the
 process and across threads: concurrent misses may compute a row twice, but
 never corrupt it.  A :class:`PolyBernoulliCache` holds only a cap on the
-indices it answers for (default 64), so runaway requests fail loudly, naming
-the index asked for; the Euler polynomials check the same default cap.  The
-cap does not bound memory: the memo is unbounded, so rows grown for a
-raised-cap instance stay for the life of the process.
+indices it answers for (default 64).  Its ``check`` (the default cache's is
+:func:`check_index`) is the one index guard: every closed form calls it
+first, so a negative or runaway index fails at once, naming the index asked
+for.  The cap does not bound memory: the memo is unbounded, so rows grown for
+a raised-cap instance stay for the life of the process.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .exact import MultiPoly, X, binomial_convolution, powers
 __all__ = [
     "PolyBernoulliCache",
     "DEFAULT_CACHE",
+    "check_index",
+    "k_range",
     "poly_bernoulli",
     "poly_bernoulli_negative",
     "poly_bernoulli_poly",
@@ -77,9 +80,11 @@ class PolyBernoulliCache:
             raise ValueError(f"n_cap must be a non-negative integer, got {n_cap!r}")
         self.n_cap = n_cap
 
-    def _check_cap(self, **indices: int) -> None:
-        """Raise ValueError naming the first requested index above the cap."""
+    def check(self, **indices: int) -> None:
+        """Raise ValueError naming the first index outside ``0..n_cap``."""
         for name, value in indices.items():
+            if value < 0:
+                raise ValueError(f"{name}={value} is negative")
             if value > self.n_cap:
                 raise ValueError(f"{name}={value} exceeds the cache cap {self.n_cap}")
 
@@ -88,13 +93,19 @@ class PolyBernoulliCache:
 
         Closed form: ``(-1)^n * sum_{m=1}^{n+1} (-1)^(m-1) (m-1)! S(n, m-1) / m^k``.
         """
-        if n < 0:
-            raise ValueError("the lower index must be non-negative")
-        self._check_cap(n=n)
+        self.check(n=n)
         return _closed_form(n, k)
 
 
 DEFAULT_CACHE = PolyBernoulliCache()
+check_index = DEFAULT_CACHE.check
+
+
+def k_range(lo: int, hi: int) -> range:
+    """The upper indices ``lo..hi``; ValueError if there are none."""
+    if lo > hi:
+        raise ValueError("the k range is empty")
+    return range(lo, hi + 1)
 
 
 def poly_bernoulli(n: int, k: int) -> Fraction:
@@ -109,9 +120,7 @@ def poly_bernoulli_negative(n: int, k: int) -> int:
     and the (n, k) duality plain, and which counts the n x k lonesum 0/1
     matrices.  Must agree with ``poly_bernoulli(n, -k)``.
     """
-    if n < 0 or k < 0:
-        raise ValueError("both indices must be non-negative here")
-    DEFAULT_CACHE._check_cap(n=n, k=k)
+    check_index(n=n, k=k)
     # Rows n + 1 and k + 1 may lie one past the cap, which bounds n and k.
     row_n, row_k = _stirling_row(n + 1), _stirling_row(k + 1)
     total = 0
@@ -127,9 +136,7 @@ def poly_bernoulli_poly(n: int, k: int) -> MultiPoly:
     ``t^n`` coefficient of the number series times ``e^{X t}``; at X = 0 it
     reduces to ``poly_bernoulli(n, k)``.
     """
-    if n < 0:
-        raise ValueError("the lower index must be non-negative")
-    DEFAULT_CACHE._check_cap(n=n)
+    check_index(n=n)
     numbers = [DEFAULT_CACHE.poly_bernoulli(j, k) for j in range(n + 1)]
     return binomial_convolution(numbers, powers(X, n))
 

@@ -29,7 +29,7 @@ from .generalized import (
     verify_theorem4,
     verify_theorem5,
 )
-from .numbers import DEFAULT_CACHE, poly_bernoulli, poly_bernoulli_negative
+from .numbers import check_index, k_range, poly_bernoulli, poly_bernoulli_negative
 from .reports import IdentityReport, check
 from .series import gen_pb_numbers_series, gf_iterated_integral, gf_poly_bernoulli
 
@@ -116,22 +116,17 @@ def run_suite(
 ) -> list[IdentityReport]:
     """Run one named identity suite (or all of them) and collect the reports.
 
-    ValueError, before any suite runs, for an unknown suite, an empty k range,
-    a negative n_max or one past the cap, and T5 with no k >= 1.
+    ValueError, before any suite runs, for an unknown suite, an empty k range
+    (from :func:`~polybernoulli.numbers.k_range`, default -3..3), an n_max
+    that :func:`~polybernoulli.numbers.check_index` refuses, and T5 with no k >= 1.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite: {suite!r}")
-    lo = -3 if k_min is None else k_min
-    hi = 3 if k_max is None else k_max
-    if lo > hi:
-        raise ValueError("the k range is empty")
+    ks = k_range(-3 if k_min is None else k_min, 3 if k_max is None else k_max)
     if n_max is not None:
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        DEFAULT_CACHE._check_cap(n=n_max)
-    if suite in ("all", "T5") and hi < 1:
+        check_index(n=n_max)
+    if suite in ("all", "T5") and ks[-1] < 1:
         raise ValueError("T5 needs some k >= 1 in the k range")
-    ks = range(lo, hi + 1)
 
     def n_or(default: int) -> int:
         return default if n_max is None else n_max
@@ -146,7 +141,7 @@ def run_suite(
     if suite in ("all", "T4"):
         reports += verify_theorem4(n_or(10), ks)
     if suite in ("all", "T5"):
-        reports += verify_theorem5(n_or(8), range(max(lo, 1), hi + 1))
+        reports += verify_theorem5(n_or(8), range(max(ks.start, 1), ks.stop))
     if suite in ("all", "C1"):
         reports += verify_corollary1(n_or(10))
     if suite in ("all", "euler"):

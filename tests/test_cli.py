@@ -261,9 +261,12 @@ UNKNOWN_FLAG = "unrecognized arguments"
     [
         ("eval --number 5 -k 2 --generalized --ln-a=1 --ln-b=1 --order-margin=-1", UNKNOWN_FLAG),
         ("verify --suite oracle --order-margin=-1", UNKNOWN_FLAG),
-        ("verify --suite T3 --n-max -1", "n_max must be non-negative"),
+        ("verify --suite T3 --n-max -1", "n must be non-negative"),
         ("verify --suite T5 --k-max 0", "T5 needs some k >= 1"),
         ("verify --suite T1 --n-max 65", "n=65 exceeds the cache cap 64"),
+        ("table --n-max 70", "n=70 exceeds the cache cap 64"),
+        ("eval --number 70 -k 1", "n=70 exceeds the cache cap 64"),
+        ("eval --poly 70 -k 2 -x 1", "n=70 exceeds the cache cap 64"),
         ("verify --suite T1 --k-min 5 --k-max 3", "the k range is empty"),
         ("eval --number 3 -k 1 -x 5", "-x and --ln-c apply only to --poly"),
         ("eval --number 3 -k 1 --generalized --ln-a 1", "needs --ln-a and --ln-b"),
@@ -284,9 +287,7 @@ def test_bad_input_exits_two_with_one_line_message(capsys, argv, message):
     assert "error: " in last and message in last
 
 
-@pytest.mark.parametrize(
-    "argv", ["polynomial -n 70 -k 2", "eval --poly 70 -k 2 -x 1", "table --n-max 70"]
-)
+@pytest.mark.parametrize("argv", ["polynomial -n 70 -k 2", "number -n 70 -k 1"])
 def test_cap_error_names_the_requested_n(argv):
     with pytest.raises(ValueError, match="^n=70 exceeds the cache cap 64"):
         cli.main(argv.split())

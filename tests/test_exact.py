@@ -105,10 +105,10 @@ def test_rat_arith_field_laws(a, b, c):
 
 
 def test_poly_zero_and_constants():
-    assert MultiPoly.constant(0).is_zero()
+    assert not MultiPoly.constant(0)
     assert MultiPoly.constant(0) == 0
     assert MultiPoly.constant(F(3, 4)) == F(3, 4)
-    assert (X - X).is_zero()
+    assert not (X - X)
     assert as_poly(2) + as_poly(3) == 5
 
 
@@ -150,9 +150,9 @@ def test_diff_and_integrate_examples():
     p = X**3 * LA + 2 * X * LC - 5
     assert p.diff("X") == 3 * X**2 * LA + 2 * LC
     assert p.diff("La") == X**3
-    assert p.diff("Y").is_zero()
+    assert not p.diff("Y")
     assert p.integrate("X") == F(1, 4) * X**4 * LA + X**2 * LC - 5 * X
-    assert MultiPoly.constant(0).integrate("Lb").is_zero()
+    assert not MultiPoly.constant(0).integrate("Lb")
     assert MultiPoly.constant(3).integrate("Y") == 3 * Y
 
 
@@ -161,7 +161,7 @@ def test_diff_and_integrate_examples():
 @settings(max_examples=25)
 def test_integrate_then_diff_is_identity_and_diff_obeys_leibniz(name, p, q):
     assert p.integrate(name).diff(name) == p
-    assert p.integrate(name).substitute({name: 0}).is_zero()
+    assert not p.integrate(name).substitute({name: 0})
     assert (p * q).diff(name) == p.diff(name) * q + p * q.diff(name)
 
 
@@ -181,7 +181,7 @@ def test_higher_derivative_examples_and_bad_order():
     assert p.diff("X", 0) == p
     assert p.diff("X", 2) == 6 * X * LA
     assert p.diff("X", 3) == 6 * LA
-    assert p.diff("X", 4).is_zero()
+    assert not p.diff("X", 4)
     for order in (-1, 1.5):
         with pytest.raises(ValueError, match="derivative order"):
             p.diff("X", order)

@@ -74,7 +74,7 @@ def test_gen_poly_degree_one():
      gen_pb_numbers_by_sum],
 )
 def test_negative_lower_index_raises_on_every_route(build):
-    with pytest.raises(ValueError, match="^the lower index must be non-negative$"):
+    with pytest.raises(ValueError, match="^n=-1 is negative$"):
         build(-1, 2)
 
 
@@ -154,7 +154,7 @@ def test_specialization_recovers_one_variable_polynomials():
 def test_derivative_matches_scaled_polynomial():
     assert pb_derivative(2, 2, 1) == 2 * LC * gen_pb_poly(1, 2)
     assert pb_derivative(3, -1, 3) == 6 * LC**3
-    assert pb_derivative(2, 2, 5).is_zero()
+    assert not pb_derivative(2, 2, 5)
 
 
 def test_derivative_rejects_a_negative_order():
@@ -173,7 +173,7 @@ def test_definite_integral_hand_values():
 def test_integral_respects_orientation_and_degenerate_bounds():
     a, b = F(-1, 2), F(1, 3)
     assert pb_definite_integral(4, 2, a, b) == -pb_definite_integral(4, 2, b, a)
-    assert pb_definite_integral(3, 1, b, b).is_zero()
+    assert not pb_definite_integral(3, 1, b, b)
 
 
 def symbolic_integral_holds(n, k):

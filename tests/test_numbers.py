@@ -7,7 +7,15 @@ from math import comb, factorial
 import pytest
 
 from polybernoulli import numbers
+from polybernoulli.euler import euler_poly, gen_euler_poly
 from polybernoulli.exact import X, poly_eval
+from polybernoulli.generalized import (
+    gen_pb_numbers,
+    gen_pb_numbers_by_sum,
+    gen_pb_poly,
+    gen_pb_poly_assembled,
+    gen_pb_poly_double_sum,
+)
 from polybernoulli.numbers import (
     PolyBernoulliCache,
     classical_bernoulli,
@@ -198,9 +206,9 @@ def test_negative_index_closed_forms_agree():
 
 
 def test_negative_index_form_rejects_a_negative_index():
-    with pytest.raises(ValueError, match="^both indices must be non-negative here$"):
+    with pytest.raises(ValueError, match="^n=-1 is negative$"):
         poly_bernoulli_negative(-1, 2)
-    with pytest.raises(ValueError, match="^both indices must be non-negative here$"):
+    with pytest.raises(ValueError, match="^k=-1 is negative$"):
         poly_bernoulli_negative(2, -1)
 
 
@@ -287,6 +295,23 @@ def test_cap_error_names_the_requested_index():
         poly_bernoulli_negative(70, 3)
     with pytest.raises(ValueError, match=r"^k=70 exceeds the cache cap 64$"):
         poly_bernoulli_negative(3, 70)
+    # every route refuses before it computes: no memo grows, and k = 97 is
+    # used nowhere else, so a value built first would be a new entry
+    routes = [
+        lambda: gen_pb_numbers_by_sum(70, 97),
+        lambda: gen_pb_poly_assembled(70, 97),
+        lambda: gen_pb_poly_double_sum(70, 97),
+        lambda: gen_pb_numbers(70, 97),
+        lambda: gen_pb_poly(70, 97),
+        lambda: euler_poly(70),
+        lambda: gen_euler_poly(70),
+    ]
+    memos = (gen_pb_numbers, numbers._closed_form)
+    for route in routes:
+        before = [memo.cache_info().currsize for memo in memos]
+        with pytest.raises(ValueError, match=r"^n=70 exceeds the cache cap 64$"):
+            route()
+        assert [memo.cache_info().currsize for memo in memos] == before
 
 
 def test_negative_index_form_works_up_to_the_cap():
