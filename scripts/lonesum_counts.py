@@ -7,14 +7,15 @@ sums, equivalently when no 2x2 submatrix is a permutation pattern.  The
 number of lonesum n x k matrices must equal the value at (n, -k); this
 script enumerates all 2^(n*k) matrices per cell, so keep the ranges small.
 Exit status is 0 when every cell agrees, 1 on a mismatch, and 2 for a
-negative bound, which would compare no cells.
+bound that ``numbers.check_index`` refuses (negative, or past the cap), before
+any cell is counted.
 """
 
 import argparse
 import sys
 from itertools import combinations, product
 
-from polybernoulli.numbers import poly_bernoulli_negative
+from polybernoulli.numbers import check_index, poly_bernoulli_negative
 
 
 def is_lonesum(rows: tuple[int, ...], cols: int) -> bool:
@@ -36,9 +37,10 @@ def main(argv=None) -> int:
     parser.add_argument("--n-max", type=int, default=3, help="largest row count")
     parser.add_argument("--k-max", type=int, default=3, help="largest column count")
     args = parser.parse_args(argv)
-    for name in ("n_max", "k_max"):
-        if getattr(args, name) < 0:
-            parser.error(f"{name} must be non-negative")
+    try:
+        check_index(n=args.n_max, k=args.k_max)
+    except ValueError as error:
+        parser.error(str(error))
 
     mismatches = 0
     print(f"{'n':>3} {'k':>3} {'brute force':>12} {'closed form':>12}")

@@ -23,6 +23,10 @@ from .reports import IdentityReport, check
 
 __all__ = ["euler_poly", "gen_euler_poly", "verify_euler_identities"]
 
+# held so each power of each is built once per process (see ``exact.powers``)
+_X_LC_MINUS_LA = X * LC - LA
+_LB_MINUS_LA = LB - LA
+
 
 def _euler_number(j: int) -> Fraction:
     """``E_j(0)``, with the Stirling sum over the common denominator ``2^j``."""
@@ -40,7 +44,7 @@ def euler_poly(n: int) -> MultiPoly:
 @lru_cache(maxsize=None)
 def gen_euler_poly(n: int) -> MultiPoly:
     """Three-parameter Euler polynomial in X, La, Lb, Lc (capped as ``euler_poly``)."""
-    return homogeneous_substitute(euler_poly(n), X * LC - LA, LB - LA)
+    return homogeneous_substitute(euler_poly(n), _X_LC_MINUS_LA, _LB_MINUS_LA)
 
 
 def _shift_x(p: MultiPoly, delta) -> MultiPoly:

@@ -20,25 +20,32 @@ built only at the edges (``items``, ``coefficient``, ``constant_value`` and
 the value ``eval`` returns).
 
 Every power and every binomial sum in the closed forms is built by one
-routine here: ``powers`` and ``binomial_convolution``.  Every sum, difference,
-product and sum of products (``+``, ``-``, ``*``, ``substitute``,
-``homogeneous_substitute`` and ``binomial_convolution``) runs one
-multiply-accumulate kernel, ``_add_product``: it adds ``weight * a * b``
-straight into a running numerator map over one running denominator, so no
-polynomial is built per product.  A sum ``a + weight * b`` is the product
-``1 * b`` added into a copy of ``a``.
+routine here: ``powers`` and ``binomial_convolution``.  A polynomial keeps
+the powers it has been raised to, so ``powers`` builds each power of a base
+once and a later call on the same object reads it back.  The table is a
+slot of the base, keyed by nothing, and lives exactly as long as the base: a
+caller that holds a base (a module constant, or a binding held across a
+suite) keeps its powers, and a base built per call is freed with its powers.
+
+Every sum, difference, product and sum of products (``+``, ``-``, ``*``,
+``substitute``, ``homogeneous_substitute`` and ``binomial_convolution``)
+runs one multiply-accumulate kernel, ``_add_product``: it adds
+``weight * a * b`` straight into a running numerator map over one running
+denominator, so no polynomial is built per product.  A sum
+``a + weight * b`` is the product ``1 * b`` added into a copy of ``a``.
 
 Everything here is immutable; operations return new objects, and values can
-be shared freely across threads.
+be shared freely across threads.  The power table is the one slot that
+changes, and only by being replaced whole by a table of the same powers.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd, lcm, perm
-from operator import mul
 from typing import Iterator, Mapping, Union
 
 __all__ = [
@@ -89,7 +96,8 @@ def _as_fraction(value) -> Scalar:
 class MultiPoly:
     """Immutable sparse polynomial in X, La, Lb, Lc, Y over Fraction."""
 
-    __slots__ = ("_num", "_den")
+    # _pows: the base's powers built so far, from base^2 up (see ``powers``)
+    __slots__ = ("_num", "_den", "_pows")
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
         coeffs: dict[tuple, Scalar] = {}
@@ -104,6 +112,7 @@ class MultiPoly:
         den = lcm(*(c.denominator for c in coeffs.values()))
         self._num = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
         self._den = den
+        self._pows = ()
 
     @classmethod
     def _from_parts(cls, num: dict[tuple, int], den: int) -> "MultiPoly":
@@ -124,6 +133,7 @@ class MultiPoly:
         obj = object.__new__(cls)
         obj._num = num
         obj._den = den
+        obj._pows = ()
         return obj
 
     @classmethod
@@ -255,32 +265,31 @@ class MultiPoly:
 
         Unbound indeterminates pass through untouched, and all bindings apply
         at once.  Binding values may be ``MultiPoly``, ``int`` or ``Fraction``.
-        Terms are grouped by their exponents of the bound names, so each
-        product of powers multiplies one group.  The last power of a group,
-        or ``1`` for a group with no bound name, goes through the
-        multiply-accumulate kernel ``_add_product``, which adds the product
-        straight into one numerator map.  The groups are integer
-        polynomials; the common denominator divides the sum once.
+        The bound names are taken one at a time, nested as in Horner's rule:
+        terms are grouped by their exponent ``e`` of the first name, each
+        group (that name taken out) takes the remaining bindings, and the
+        kernel ``_add_product`` adds the group times the ``e``-th power of
+        the first value straight into one numerator map.  The groups are
+        integer polynomials; the common denominator divides the sum once.
+        The powers come from ``powers``, so a value the caller holds is
+        raised once.
         """
-        indices = tuple(map(_index, bindings))
-        free = tuple(0 if i in indices else 1 for i in range(len(VARIABLES)))
-        groups: dict[tuple, dict[tuple, int]] = {}
+        if not bindings:
+            return self
+        # every name and value is checked here, also one that no group reaches
+        (i, value), *rest = [(_index(name), as_poly(v)) for name, v in bindings.items()]
+        inner = {VARIABLES[j]: v for j, v in rest}
+        groups: defaultdict[int, dict[tuple, int]] = defaultdict(dict)
         for exps, c in self._num.items():
-            key = tuple(map(exps.__getitem__, indices))
-            groups.setdefault(key, {})[tuple(map(mul, exps, free))] = c
-        # the degree of each bound name is the largest exponent among the keys
-        bound = [
-            powers(v, max((key[j] for key in groups), default=0))
-            for j, v in enumerate(bindings.values())
-        ]
+            groups[exps[i]][exps[:i] + (0,) + exps[i + 1:]] = c
+        pows = powers(value, max(groups, default=0))
         out: dict[tuple, int] = {}
         den = 1
-        for key, residual_terms in groups.items():
-            factors = [pows[e] for pows, e in zip(bound, key) if e] or [_ONE]
-            group = MultiPoly._from_parts(residual_terms, 1)
-            for factor in factors[:-1]:
-                group = group * factor
-            den = _add_product(out, den, group, factors[-1])
+        for e, terms in groups.items():
+            group = MultiPoly._from_parts(terms, 1)
+            if inner:
+                group = group.substitute(inner)
+            den = _add_product(out, den, group, pows[e])
         return MultiPoly._from_parts(out, den * self._den)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
@@ -327,8 +336,10 @@ def _add_product(
     The multiply-accumulate kernel: every sum and product in the ring, and
     every sum of products, runs this one loop, so no polynomial is built per
     product.  ``out`` is rescaled first when the product's denominator does
-    not divide ``den``.  Returns the denominator ``out`` is over afterwards;
-    zero sums stay in ``out`` until ``MultiPoly._from_parts`` drops them.
+    not divide ``den``.  The operand with fewer terms runs the outer loop,
+    so the per-term setup runs the fewest times.  Returns the denominator
+    ``out`` is over afterwards; zero sums stay in ``out`` until
+    ``MultiPoly._from_parts`` drops them.
     """
     d = a._den * b._den
     if den % d:
@@ -337,6 +348,8 @@ def _add_product(
             out[e] *= grow
         den *= grow
     scale = den // d * weight
+    if len(a._num) > len(b._num):
+        a, b = b, a
     get = out.get
     right = b._num.items()
     for (a0, a1, a2, a3, a4), c1 in a._num.items():
@@ -358,7 +371,6 @@ _ONE = MultiPoly.constant(1)
 def _plus(a: MultiPoly, b: MultiPoly, weight: int) -> MultiPoly:
     """``a + weight * b``: the product ``1 * b`` added into a copy of ``a``."""
     out = dict(a._num)
-    # the one-term factor goes first, so the kernel's inner loop runs over b
     den = _add_product(out, a._den, _ONE, b, weight)
     return MultiPoly._from_parts(out, den)
 
@@ -376,14 +388,30 @@ def poly_eval(p: MultiPoly, point: Mapping[str, Scalar]) -> Fraction:
 
 
 def powers(base: PolyLike, n: int) -> list[MultiPoly]:
-    """``[1, base, base^2, ..., base^n]``, one multiplication per power."""
+    """``[1, base, base^2, ..., base^n]``, each power built once per base.
+
+    A ``MultiPoly`` base keeps the powers it has been raised to, for as long
+    as the base itself lives: a call past the highest power built so far
+    multiplies only the missing ones, and a call at or below it multiplies
+    nothing.  The table holds ``base^2`` and up, so a base never refers to
+    itself.  It is replaced whole, by one assignment of a new tuple, so a
+    reader sees either table; threads that race compute equal powers, and
+    the most a race costs is a rebuild, when a shorter table lands last.
+    The list returned is new on every call.  A scalar base is a new
+    constant on every call, so its powers are not kept.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError("polynomial exponent must be a non-negative integer")
     base = as_poly(base)
-    out = [_ONE, base][: n + 1]
-    while len(out) <= n:
-        out.append(out[-1] * base)
-    return out
+    higher = base._pows
+    if len(higher) < n - 1:
+        grown = list(higher)
+        last = grown[-1] if grown else base
+        while len(grown) < n - 1:
+            last = last * base
+            grown.append(last)
+        base._pows = higher = tuple(grown)
+    return [_ONE, base, *higher[: n - 1]][: n + 1]
 
 
 def binomial_convolution(a, b):

@@ -47,7 +47,6 @@ from .exact import (
     _as_fraction,
     as_poly,
     binomial_convolution,
-    format_rational,
     homogeneous_substitute,
     powers,
 )
@@ -86,12 +85,18 @@ _POINTS_4 = tuple(dict(zip(("La", "Lb", "Lc", "X"), point)) for point in (
     (Fraction(5, 4), Fraction(-3), Fraction(-5), Fraction(2)),
 ))
 _POINT_NAMES = {"La": "ln a", "Lb": "ln b", "Lc": "ln c", "X": "x"}
-_Y_VALUES = (Fraction(0), Fraction(1, 2), Fraction(-1, 3))
-_BOUNDS = (
+_Y_VALUES = tuple(map(as_poly, (Fraction(0), Fraction(1, 2), Fraction(-1, 3))))
+_BOUNDS = tuple((as_poly(alpha), as_poly(beta)) for alpha, beta in (
     (Fraction(0), Fraction(1)),
     (Fraction(-1, 2), Fraction(1, 3)),
     (Fraction(2, 5), Fraction(2, 5)),
-)
+))
+# The bases every construction raises to powers, held so each power of each
+# is built once per process (see ``exact.powers``).
+_LA_PLUS_LB = LA + LB
+_MINUS_LB = -LB
+_X_LC = X * LC
+_X_LC_MINUS_LB = _X_LC - LB
 
 
 # -- constructions ---------------------------------------------------------
@@ -100,14 +105,15 @@ _BOUNDS = (
 @lru_cache(maxsize=None)
 def gen_pb_numbers(n: int, k: int) -> MultiPoly:
     """Two-parameter poly-Bernoulli value as a polynomial in La and Lb."""
-    return homogeneous_substitute(poly_bernoulli_poly(n, k), -LB, LA + LB)
+    return homogeneous_substitute(poly_bernoulli_poly(n, k), _MINUS_LB, _LA_PLUS_LB)
 
 
+@lru_cache(maxsize=None)
 def gen_pb_numbers_by_sum(n: int, k: int) -> MultiPoly:
     """The same value as an explicit alternating binomial sum (cross-check path)."""
     check_index(n=n)
-    scaled = [poly_bernoulli(i, k) * p for i, p in enumerate(powers(LA + LB, n))]
-    return binomial_convolution(scaled, powers(-LB, n))
+    scaled = [poly_bernoulli(i, k) * p for i, p in enumerate(powers(_LA_PLUS_LB, n))]
+    return binomial_convolution(scaled, powers(_MINUS_LB, n))
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +123,7 @@ def gen_pb_poly(n: int, k: int) -> MultiPoly:
     Reads the one-variable polynomial at ``X -> (X*Lc - Lb) / (La + Lb)``
     and clears the denominator at total weight n.
     """
-    return homogeneous_substitute(poly_bernoulli_poly(n, k), X * LC - LB, LA + LB)
+    return homogeneous_substitute(poly_bernoulli_poly(n, k), _X_LC_MINUS_LB, _LA_PLUS_LB)
 
 
 def gen_pb_poly_assembled(n: int, k: int) -> MultiPoly:
@@ -129,7 +135,7 @@ def gen_pb_poly_assembled(n: int, k: int) -> MultiPoly:
     that builds :func:`gen_pb_poly`; the two share only the plain numbers.
     """
     check_index(n=n)
-    return binomial_convolution([gen_pb_numbers(l, k) for l in range(n + 1)], powers(X * LC, n))
+    return binomial_convolution([gen_pb_numbers(l, k) for l in range(n + 1)], powers(_X_LC, n))
 
 
 def gen_pb_poly_double_sum(n: int, k: int) -> MultiPoly:
@@ -137,7 +143,7 @@ def gen_pb_poly_double_sum(n: int, k: int) -> MultiPoly:
     alternating sums :func:`gen_pb_numbers_by_sum` with powers of ``X * Lc``."""
     check_index(n=n)
     inner = [gen_pb_numbers_by_sum(l, k) for l in range(n + 1)]
-    return binomial_convolution(inner, powers(X * LC, n))
+    return binomial_convolution(inner, powers(_X_LC, n))
 
 
 def gen_pb_poly_series(
@@ -244,7 +250,7 @@ def verify_theorem2(n_max: int, ks: range) -> list[IdentityReport]:
     more fully symbolically at y = Y, where both convolutions must equal
     ``B_n(X + Y)``, so no specialization is involved at all.
     """
-    y_text = ",".join(format_rational(y) for y in _Y_VALUES)
+    y_text = ",".join(map(str, _Y_VALUES))
 
     def at_y(k, y0):
         return [gen_pb_poly(l, k) for l in range(n_max + 1)], powers(LC * y0, n_max)
@@ -260,9 +266,9 @@ def verify_theorem2(n_max: int, ks: range) -> list[IdentityReport]:
     def shift_cases(factors, suffix=""):
         """``B_n(x + y)`` against the convolution of ``factors(k, y)`` cut at n."""
         for k in ks:
-            by_y = {y0: factors(k, y0) for y0 in _Y_VALUES}
+            by_y = [(y0, factors(k, y0)) for y0 in _Y_VALUES]
             for n in range(n_max + 1):
-                for y0, pair in by_y.items():
+                for y0, pair in by_y:
                     lhs = _shift_x(gen_pb_poly(n, k), y0)
                     yield f"n={n} k={k} y={y0}{suffix}", lhs, convolution(pair, n)
 
@@ -308,7 +314,7 @@ def verify_theorem4(n_max: int, ks: range) -> list[IdentityReport]:
     antidifference of the degree-(n+1) polynomial.
     """
     n_integral = min(n_max, 8)
-    bounds_text = ",".join(f"({format_rational(a)},{format_rational(b)})" for a, b in _BOUNDS)
+    bounds_text = ",".join(f"({alpha},{beta})" for alpha, beta in _BOUNDS)
 
     def derivative_cases():
         for k in ks:
@@ -352,11 +358,12 @@ def verify_theorem5(n_max: int, k1s: range) -> list[IdentityReport]:
     if not k1s:
         raise ValueError("T5 needs at least one k1")
     to_1bb = {"La": 0, "Lc": LB}
+    y_plus_one = Y + 1
     euler_1bb = [gen_euler_poly(m).substitute(to_1bb) for m in range(n_max + 1)]
 
     def cases(k1):
         b_1bb = [gen_pb_poly(m, k1).substitute(to_1bb) for m in range(n_max + 1)]
-        paired = [b.substitute({"X": Y}) + b.substitute({"X": Y + 1}) for b in b_1bb]
+        paired = [b.substitute({"X": Y}) + b.substitute({"X": y_plus_one}) for b in b_1bb]
         for n in range(n_max + 1):
             rhs = binomial_convolution(paired[: n + 1], euler_1bb[: n + 1])
             yield f"n={n} k1={k1}", _shift_x(b_1bb[n], Y), rhs * _F1_2

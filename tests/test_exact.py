@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial
 from operator import add
@@ -199,6 +201,9 @@ def test_substitute_plain():
     assert (X**2).substitute({"X": X + Y}) == X**2 + 2 * X * Y + Y**2
     with pytest.raises(TypeError):
         LB.substitute({"X": "2"})
+    # every value is checked, also one that no term of the polynomial reaches
+    with pytest.raises(TypeError):
+        MultiPoly().substitute({"X": 1, "La": "2"})
 
 
 def test_substitute_identity_is_noop():
@@ -210,6 +215,8 @@ def test_substitute_identity_is_noop():
 def test_substitute_unknown_name():
     with pytest.raises(ValueError):
         X.substitute({"Z": 1})
+    with pytest.raises(ValueError):
+        MultiPoly().substitute({"X": 1, "Z": 1})
 
 
 @pytest.mark.parametrize("method", ["degree", "diff", "integrate"])
@@ -248,6 +255,78 @@ def test_powers_lists_every_power_from_one():
             powers(X, bad)
     with pytest.raises(TypeError):
         powers("X", 2)
+
+
+def _counting_mul(monkeypatch):
+    """Wrap ``MultiPoly.__mul__``; returns the list each call appends to."""
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    return calls
+
+
+def test_a_held_base_builds_each_power_once(monkeypatch):
+    base = LA - 2 * LB + LC  # a fresh base has no powers yet
+    twin = LA - 2 * LB + LC
+    calls = _counting_mul(monkeypatch)
+    first = powers(base, 6)
+    built = len(calls)
+    # raising it again, to n or below, multiplies nothing
+    assert powers(base, 6) == first
+    assert powers(base, 4) == first[:5]
+    assert powers(base, 0) == [1]
+    assert len(calls) == built
+    # raising it past n multiplies only the missing powers
+    assert powers(base, 9)[:7] == first
+    assert len(calls) == built + 3
+    # the kept powers change neither equality nor hashing
+    assert base == twin and hash(base) == hash(twin)
+
+
+def test_the_list_powers_returns_is_the_callers_own():
+    base = X + LC
+    got = powers(base, 3)
+    expected = list(got)
+    got[2] = LA
+    got.append(LB)
+    assert powers(base, 3) == expected
+    assert powers(base, 4)[:4] == expected
+
+
+def test_threads_raising_one_fresh_base_agree_with_repeated_multiplication():
+    exponents = (9, 3, 12, 6)
+    trials = 30
+    start = threading.Barrier(len(exponents), timeout=10)
+    results = {}
+
+    def raise_to(base, e):
+        start.wait()
+        results[e] = powers(base, e)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(trials):
+            base = X + LA - (trial + 2) * LB  # fresh on every trial
+            workers = [threading.Thread(target=raise_to, args=(base, e)) for e in exponents]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+            expected = [MultiPoly.constant(1)]
+            for _ in range(max(exponents)):
+                expected.append(expected[-1] * base)
+            for e in exponents:
+                assert results[e] == expected[: e + 1], (trial, e)
+            assert powers(base, max(exponents)) == expected
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_binomial_convolution_examples():

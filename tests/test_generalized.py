@@ -232,6 +232,15 @@ def test_theorem4_suite_passes():
     assert all(r.passed for r in reports), [r.format_line() for r in reports]
 
 
+def test_theorem3_builds_each_alternating_sum_once():
+    gen_pb_numbers_by_sum.cache_clear()
+    reports = verify_theorem3(n_max=6, ks=range(-1, 2))
+    assert all(r.passed for r in reports), [r.format_line() for r in reports]
+    # T3.19 convolves the sums for l <= n at every n, but each (l, k) is built
+    # once: 7 degrees times 3 upper indices
+    assert gen_pb_numbers_by_sum.cache_info().misses == 21
+
+
 def test_theorem5_suite_passes():
     reports = verify_theorem5(n_max=5, k1s=range(1, 3))
     assert [r.identity_id for r in reports] == ["T5", "T5"]

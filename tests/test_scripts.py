@@ -27,8 +27,8 @@ def test_lonesum_counts_agree_on_a_small_grid(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("--n-max -1", "n_max must be non-negative"),
-        ("--n-max 2 --k-max -3", "k_max must be non-negative"),
+        ("--n-max -1", "n=-1 is negative"),
+        ("--n-max 2 --k-max -3", "k=-3 is negative"),
     ],
 )
 def test_lonesum_counts_negative_bound_exits_two(capsys, argv, message):
@@ -40,6 +40,23 @@ def test_lonesum_counts_negative_bound_exits_two(capsys, argv, message):
     assert captured.out == ""
     last = captured.err.splitlines()[-1]
     assert "error: " in last and message in last
+
+
+def test_lonesum_counts_refuses_a_bound_past_the_cap_before_counting(capsys, monkeypatch):
+    script = _load("lonesum_counts")
+
+    def refuse(n, k):
+        raise AssertionError(f"counted the {n}x{k} matrices before checking the bounds")
+
+    # the 2^n count would run for hours before the closed form refused n = 65
+    monkeypatch.setattr(script, "brute_force_count", refuse)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--n-max", "70", "--k-max", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert "error: " in last and "n=70 exceeds the cache cap 64" in last
 
 
 def test_a_benchmark_record_is_committed():
