@@ -7,19 +7,9 @@ every comparison in the package is an exact equality.
 """
 
 from .exact import LA, LB, LC, MultiPoly, X, format_poly
-from .generalized import (
-    gen_pb_numbers,
-    gen_pb_poly,
-    pb_definite_integral,
-    pb_derivative,
-)
+from .generalized import gen_pb_numbers, gen_pb_poly, pb_definite_integral, pb_derivative
 from .euler import euler_poly, gen_euler_poly
-from .numbers import (
-    classical_bernoulli,
-    poly_bernoulli,
-    poly_bernoulli_negative,
-    poly_bernoulli_poly,
-)
+from .numbers import classical_bernoulli, poly_bernoulli, poly_bernoulli_negative, poly_bernoulli_poly
 from .reports import IdentityReport, all_passed
 from .series import PowerSeries, gf_iterated_integral, gf_poly_bernoulli
 from .verification import run_suite

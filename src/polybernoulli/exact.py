@@ -272,7 +272,7 @@ class MultiPoly:
         the first value straight into one numerator map.  The groups are
         integer polynomials; the common denominator divides the sum once.
         The powers come from ``powers``, so a value the caller holds is
-        raised once.
+        raised once.  A group that a zero power drops is never expanded.
         """
         if not bindings:
             return self
@@ -286,6 +286,8 @@ class MultiPoly:
         out: dict[tuple, int] = {}
         den = 1
         for e, terms in groups.items():
+            if not pows[e]:
+                continue
             group = MultiPoly._from_parts(terms, 1)
             if inner:
                 group = group.substitute(inner)

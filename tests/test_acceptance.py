@@ -12,16 +12,8 @@ from math import factorial
 from pathlib import Path
 
 import polybernoulli.cli as cli
-from polybernoulli.euler import euler_poly, gen_euler_poly, verify_euler_identities
+from polybernoulli.euler import euler_poly, gen_euler_poly
 from polybernoulli.exact import LB, X, as_poly
-from polybernoulli.generalized import (
-    verify_corollary1,
-    verify_theorem1,
-    verify_theorem2,
-    verify_theorem3,
-    verify_theorem4,
-    verify_theorem5,
-)
 from polybernoulli.numbers import (
     classical_bernoulli,
     poly_bernoulli,
@@ -30,9 +22,16 @@ from polybernoulli.numbers import (
 from polybernoulli.reports import all_passed
 from polybernoulli.series import gf_poly_bernoulli
 from polybernoulli.verification import (
+    verify_corollary1,
+    verify_euler_identities,
     verify_gen_numbers_anchor,
     verify_iterated_integral,
     verify_negative_index,
+    verify_theorem1,
+    verify_theorem2,
+    verify_theorem3,
+    verify_theorem4,
+    verify_theorem5,
 )
 
 F = Fraction

@@ -4,10 +4,11 @@ from math import factorial
 import pytest
 
 import polybernoulli.euler as euler
-from polybernoulli.euler import euler_poly, gen_euler_poly, verify_euler_identities
+from polybernoulli.euler import euler_poly, gen_euler_poly
 from polybernoulli.exact import LA, LB, LC, X, as_poly, poly_eval
 from polybernoulli.reports import all_passed
 from polybernoulli.series import ps_div, ps_exp_linear
+from polybernoulli.verification import verify_euler_identities
 
 F = Fraction
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polybernoulli.euler import gen_euler_poly
 from polybernoulli.exact import (
     LA,
     LB,
@@ -210,6 +211,22 @@ def test_substitute_identity_is_noop():
     p = X**2 * LA - LB * LC + 7
     same = p.substitute({"X": X, "La": LA, "Lb": LB, "Lc": LC, "Y": Y})
     assert same == p
+
+
+def test_a_zero_binding_skips_the_groups_it_drops(monkeypatch):
+    p = gen_euler_poly(6)
+    expected = p.substitute({"La": 0}).substitute({"Lc": LB})
+    calls = []
+    substitute = MultiPoly.substitute
+
+    def counting(q, bindings):
+        calls.append(None)
+        return substitute(q, bindings)
+
+    monkeypatch.setattr(MultiPoly, "substitute", counting)
+    # only the group free of La takes the Lc binding: one nested call
+    assert p.substitute({"La": 0, "Lc": LB}) == expected
+    assert len(calls) == 2
 
 
 def test_substitute_unknown_name():

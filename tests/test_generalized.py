@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from polybernoulli import generalized
+from polybernoulli import verification
 from polybernoulli.exact import LA, LB, LC, MultiPoly, X, Y, poly_eval
 from polybernoulli.generalized import (
     gen_pb_numbers,
@@ -17,6 +17,9 @@ from polybernoulli.generalized import (
     gen_pb_poly_series,
     pb_definite_integral,
     pb_derivative,
+)
+from polybernoulli.numbers import poly_bernoulli, poly_bernoulli_poly
+from polybernoulli.verification import (
     verify_corollary1,
     verify_theorem1,
     verify_theorem2,
@@ -24,7 +27,6 @@ from polybernoulli.generalized import (
     verify_theorem4,
     verify_theorem5,
 )
-from polybernoulli.numbers import poly_bernoulli, poly_bernoulli_poly
 
 F = Fraction
 
@@ -255,12 +257,13 @@ def test_theorem5_checks_one_case_per_n_for_every_y():
 def test_planted_defect_zero_at_the_old_y_values_is_caught(monkeypatch):
     # d*(2d - 1)*(3d + 1) vanishes at y = 0, 1/2 and -1/3, so only a check
     # symbolic in y sees it
-    shift_x = generalized._shift_x
+    shift_x = verification._shift_x
 
-    def planted(p, delta):
-        return shift_x(p, delta) + delta * (2 * delta - 1) * (3 * delta + 1)
+    def planted(p, shifted):
+        delta = shifted - X
+        return shift_x(p, shifted) + delta * (2 * delta - 1) * (3 * delta + 1)
 
-    monkeypatch.setattr(generalized, "_shift_x", planted)
+    monkeypatch.setattr(verification, "_shift_x", planted)
     assert [r.status for r in verify_theorem5(n_max=3, k1s=range(1, 3))] == ["FAIL", "FAIL"]
     rational, swapped, symbolic = verify_theorem2(n_max=3, ks=range(1, 2))
     assert (rational.status, swapped.status, symbolic.status) == ("pass", "pass", "FAIL")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polybernoulli import generalized, verification
+from polybernoulli import verification
 from polybernoulli.exact import LA, X
 from polybernoulli.generalized import gen_pb_poly
 from polybernoulli.reports import IdentityReport, check
@@ -71,10 +71,10 @@ def test_zero_cases_is_not_a_pass():
 
 
 @pytest.mark.parametrize("verify", [
-    generalized.verify_theorem1,
-    generalized.verify_theorem2,
-    generalized.verify_theorem3,
-    generalized.verify_theorem4,
+    verification.verify_theorem1,
+    verification.verify_theorem2,
+    verification.verify_theorem3,
+    verification.verify_theorem4,
     verification.verify_pb_closed_form,
     verification.verify_gen_numbers_anchor,
 ])

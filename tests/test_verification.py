@@ -1,9 +1,13 @@
-"""Suite dispatcher behavior and the oracle-anchor verifiers."""
+"""Suite dispatcher behavior, the oracle-anchor verifiers and the suite layering."""
+
+import ast
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from polybernoulli import series, verification
-from polybernoulli.generalized import gen_pb_numbers, verify_theorem1
+from polybernoulli.generalized import gen_pb_numbers
 from polybernoulli.reports import all_passed
 from polybernoulli.verification import (
     SUITE_NAMES,
@@ -12,6 +16,7 @@ from polybernoulli.verification import (
     verify_iterated_integral,
     verify_negative_index,
     verify_pb_closed_form,
+    verify_theorem1,
 )
 
 
@@ -114,3 +119,39 @@ def test_run_suite_checks_the_cap_before_any_suite_runs():
     with pytest.raises(ValueError, match="^n=65"):
         run_suite("T1", n_max=65)
     assert gen_pb_numbers.cache_info().currsize == 0
+
+
+def _traced_suites():
+    """The verifier names the benchmark's tracer rebinds, from ``perfbench/tracing.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.SUITES
+
+
+def test_run_suite_calls_every_traced_verifier_through_the_module(monkeypatch):
+    # the tracer times suites by rebinding these module attributes, so a table
+    # that held the function objects themselves would bypass the recorders
+    suites, reached = _traced_suites(), []
+    for name in suites:
+        def recorder(*args, _name=name, _verify=getattr(verification, name)):
+            reached.append(_name)
+            return _verify(*args)
+
+        monkeypatch.setattr(verification, name, recorder)
+    assert all_passed(run_suite("all"))
+    assert sorted(reached) == sorted(suites)
+
+
+@pytest.mark.parametrize("module", ["numbers", "euler", "generalized"])
+def test_constructions_import_no_suite_layer(module):
+    source = Path(verification.__file__).with_name(f"{module}.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"reports", "verification"}
