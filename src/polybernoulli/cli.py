@@ -214,19 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(func=cmd_value, parser=sub, key=key, builders=(plain, generalized))
 
     sub = subs.add_parser("table", help="print a grid of plain values")
-    sub.add_argument("--n-max", "--nmax", type=_nonnegative, default=8)
-    sub.add_argument("--k-min", "--kmin", type=int, default=-3)
-    sub.add_argument("--k-max", "--kmax", type=int, default=3)
+    sub.add_argument("--n-max", type=_nonnegative, default=8)
+    sub.add_argument("--k-min", type=int, default=-3)
+    sub.add_argument("--k-max", type=int, default=3)
     _add_format(sub, choices=("text", "json", "csv"))
     sub.set_defaults(func=cmd_table, parser=sub)
 
     sub = subs.add_parser("verify", help="machine-check the identity suites")
     sub.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    sub.add_argument(
-        "--n-max", "--nmax", type=_nonnegative, default=None, help="override the suite default"
-    )
-    sub.add_argument("--k-min", "--kmin", type=int, default=None)
-    sub.add_argument("--k-max", "--kmax", type=int, default=None)
+    sub.add_argument("--n-max", type=_nonnegative, default=None, help="override the suite default")
+    sub.add_argument("--k-min", type=int, default=None)
+    sub.add_argument("--k-max", type=int, default=None)
     _add_format(sub)
     sub.set_defaults(func=cmd_verify, parser=sub)
 

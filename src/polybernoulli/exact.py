@@ -470,13 +470,11 @@ CANONICAL_NAMES = {name: name for name in VARIABLES}
 def format_rational(q: Scalar) -> str:
     """Canonical text form: ``p/q``, or just ``p`` when the denominator is 1.
 
-    Exact at any size, also past the interpreter's limit on int-to-text digits.
+    One term written by ``_join_terms``, so it is exact at any size, also past
+    the interpreter's limit on int-to-text digits.
     """
     q = _as_fraction(q)
-    try:
-        return str(q)
-    except ValueError:  # past the int-to-text digit limit
-        return _join_terms([(q.numerator, q.denominator, ())])
+    return _join_terms([(q.numerator, q.denominator, ())])
 
 
 def parse_rational(text: str) -> Fraction:
@@ -493,11 +491,11 @@ def _term_sort_key(exps):
 def _join_terms(terms) -> str:
     """A signed sum of ``(numerator, denominator, factor texts)`` terms.
 
-    The one term joiner of both text forms.  Each magnitude is written as
-    ``format_rational`` writes it, reduced by one ``gcd``, and is left out
-    when it is 1 and the term has factors, and written exactly at any size.  A
-    term's numerator is a nonzero int and its denominator positive; no terms
-    at all give ``0``.
+    The one term joiner of every text form.  Each magnitude is reduced by
+    one ``gcd``, left out when it is 1 and the term has factors, and written
+    exactly at any size: by ``str``, or by ``Decimal`` past the int-to-text
+    digit limit.  A term's numerator is an int, nonzero unless it is the only
+    term, and its denominator positive; no terms at all give ``0``.
     """
     parts = []
     for num, den, factors in terms:

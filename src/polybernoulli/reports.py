@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable
 
-from .exact import MultiPoly, format_poly
+from .exact import MultiPoly, format_poly, format_rational
 from .series import PowerSeries
 
 __all__ = ["IdentityReport", "all_passed", "check"]
@@ -29,7 +30,9 @@ def _clip(text: str) -> str:
 def _witness(label: str, lhs, rhs) -> str:
     """Narrow a tuple or series mismatch to its first differing part, then show that part.
 
-    A polynomial part is shown by its difference, any other by both values.
+    A polynomial part is shown by its difference, any other by both values:
+    an int or Fraction through ``format_rational``, so exactly at any size (a
+    bool, a check's outcome, stays ``True`` or ``False``).
     """
     series = isinstance(lhs, PowerSeries) and isinstance(rhs, PowerSeries)
     left, right = (lhs.coeffs, rhs.coeffs) if series else (lhs, rhs)
@@ -38,7 +41,8 @@ def _witness(label: str, lhs, rhs) -> str:
         return _witness(f"{label} [{f't^{i}' if series else i}]", left[i], right[i])
     if isinstance(lhs, MultiPoly) or isinstance(rhs, MultiPoly):
         return f"{label}: diff {format_poly(lhs - rhs)}"
-    return f"{label}: {lhs} vs {rhs}"
+    left, right = (format_rational(v) if type(v) in (int, Fraction) else v for v in (lhs, rhs))
+    return f"{label}: {left} vs {right}"
 
 
 @dataclass(frozen=True)

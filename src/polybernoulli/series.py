@@ -28,9 +28,10 @@ normalized coefficients are poly-Bernoulli numbers: the two-parameter series
 at a rational (ln a, ln b) point, its plain specialization at (1, 0), and the
 equivalent nested-integration recipe.  The two-parameter numerator
 ``Li_k(1 - (ab)^{-t})`` is an exponential sum (``ps_exp_poly``), built in
-``O(N^2)`` integer operations, so no oracle path composes series:
-``ps_compose`` is a general primitive, and the tests' reference for that
-numerator.
+``O(N^2)`` integer operations, so no oracle path composes series.
+``ps_compose`` is a general primitive with no caller here, built on the ring
+operations; the tests' reference for both it and that numerator is the
+composition by definition, a sum of powers of the inner series.
 """
 
 from __future__ import annotations
@@ -297,37 +298,29 @@ def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
 
     Both series must have rational coefficients: a constant ``MultiPoly``
     coefficient counts as its value, and one that is not constant raises
-    ``ValueError``.  The result has the smaller of the two orders.
+    ``ValueError``, wherever it stands.  The result has the smaller of the
+    two orders.
 
-    A general primitive: the series oracle builds its numerator as an
-    exponential sum instead, and the tests compare that sum against this.
-
-    Horner's scheme from the top coefficient down, on the stored numerators:
-    with ``outer`` and ``inner`` each over its own denominator, the running
-    value is ``outer``'s denominator times the partial sum, an integer vector
-    over a single denominator, with its content divided out each step.  Since
-    ``inner`` has no constant term, the value at step ``j`` is only needed to
-    order ``n - j`` (``n`` being the result's order), so each step is a
-    truncated, shifted convolution.
+    A general primitive with no caller in the package: the series oracle
+    builds its numerator as an exponential sum instead.  Horner's rule on the
+    series ring's own ``*`` and ``+``, from ``outer``'s top coefficient at the
+    result's order down, over ``outer``'s integer numerators; its denominator
+    divides once at the end.  The running value starts at order 0 and grows
+    by one order per step, so the products stay about a third of the cost of
+    full-order ones.
     """
     if inner._num[0] != 0:
         raise ValueError("composition requires an inner series with zero constant term")
     error = "composition requires rational coefficients"
     n = min(outer.order, inner.order)
     outer_num = [_scalar(c, error) for c in outer._num]
-    inner_num, inner_den = [_scalar(c, error) for c in inner._num][1 : n + 1], inner._den
-    num, den = [outer_num[n]], 1
+    inner = PowerSeries._from_parts([_scalar(c, error) for c in inner._num], inner._den)
+    value = PowerSeries.constant(outer_num[n], 0)
     for c in reversed(outer_num[:n]):
-        # c + inner * value, to order n - j; value is known to order n - j - 1
-        step_den = inner_den * den
-        rev = num[::-1]
-        num = [c * step_den] + [
-            sum(map(mul, inner_num[:m], rev[-m:])) for m in range(1, len(rev) + 1)
-        ]
-        g = gcd(step_den, *num)
-        den = step_den // g
-        num = [a // g for a in num]
-    return PowerSeries._from_parts(num, den * outer._den)
+        # inner has no constant term, so a zero put past value's order
+        # reaches no kept coefficient of the product
+        value = PowerSeries._from_parts(value._num + (0,), value._den) * inner + c
+    return value * Fraction(1, outer._den)
 
 
 def ps_exp_poly(weights: Sequence, c, order: int) -> PowerSeries:

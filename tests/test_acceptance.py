@@ -6,8 +6,8 @@ All comparisons are exact; nothing here is approximate.
 """
 
 import json
+import runpy
 from fractions import Fraction
-from itertools import combinations, product
 from math import factorial
 from pathlib import Path
 
@@ -37,8 +37,11 @@ from polybernoulli.verification import (
 F = Fraction
 K_SET = range(-3, 4)
 
+ROOT = Path(__file__).resolve().parents[1]
 # The benchmark's pinned `verify --suite all` transcript; read, never copied.
-REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+REFERENCES = ROOT / "perfbench" / "references.json"
+# The one lonesum counter: the brute force of scripts/lonesum_counts.py.
+LONESUM_SCRIPT = ROOT / "scripts" / "lonesum_counts.py"
 
 
 def _criterion(index: int, description: str, ok: bool) -> None:
@@ -72,20 +75,9 @@ def test_criterion_02_negative_index_structure():
     )
 
 
-def _is_lonesum(rows, cols) -> bool:
-    for r1, r2 in combinations(rows, 2):
-        for c, d in combinations(range(cols), 2):
-            pattern = (r1 >> c & 1, r1 >> d & 1, r2 >> c & 1, r2 >> d & 1)
-            if pattern in ((1, 0, 0, 1), (0, 1, 1, 0)):
-                return False
-    return True
-
-
 def test_criterion_03_lonesum_matrix_counts():
-    counts = {
-        (n, k): sum(1 for m in product(range(1 << k), repeat=n) if _is_lonesum(m, k))
-        for n, k in [(1, 1), (2, 2), (3, 2), (2, 3)]
-    }
+    brute_force_count = runpy.run_path(str(LONESUM_SCRIPT))["brute_force_count"]
+    counts = {(n, k): brute_force_count(n, k) for n, k in [(1, 1), (2, 2), (3, 2), (2, 3)]}
     ok = counts[(1, 1)] == poly_bernoulli_negative(1, 1) == 2
     ok = ok and counts[(2, 2)] == poly_bernoulli_negative(2, 2) == 14
     ok = ok and counts[(3, 2)] == poly_bernoulli_negative(3, 2)

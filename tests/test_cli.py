@@ -89,19 +89,21 @@ def test_table_text_and_csv_agree(capsys):
     assert [line.split() for line in text_out.splitlines()[1:]] == rows[1:]
 
 
-def test_table_accepts_compact_flag_spellings(capsys):
-    code, out = run(capsys, "table", "--nmax", "2", "--kmin", "1", "--kmax", "1", "--format", "csv")
+def test_table_prints_a_single_k_column(capsys):
+    code, out = run(capsys, "table", "--n-max", "2", "--k-min", "1", "--k-max", "1", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert [row[1] for row in rows[1:]] == ["1", "1/2", "1/6"]
-    code, out = run(capsys, "table", "--nmax", "1", "--kmin", "-1", "--kmax", "-1", "--format", "csv")
+    code, out = run(
+        capsys, "table", "--n-max", "1", "--k-min", "-1", "--k-max", "-1", "--format", "csv"
+    )
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert [row[1] for row in rows[1:]] == ["1", "2"]
 
 
 def test_verify_degenerate_range_still_passes(capsys):
-    code, out = run(capsys, "verify", "--suite", "T4", "--nmax", "0")
+    code, out = run(capsys, "verify", "--suite", "T4", "--n-max", "0")
     assert code == 0
     assert "2/2 identity checks passed" in out
     code, out = run(capsys, "verify", "--suite", "oracle", "--n-max", "0")

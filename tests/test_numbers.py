@@ -1,7 +1,6 @@
 import sys
 import threading
 from fractions import Fraction
-from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
@@ -56,26 +55,6 @@ def count_set_partitions(n, m):
         return total
 
     return extend(0, 0)
-
-
-def is_lonesum(matrix, rows, cols):
-    """No pair of rows/columns may form either 2x2 permutation pattern."""
-    for r1, r2 in combinations(range(rows), 2):
-        for c1, c2 in combinations(range(cols), 2):
-            a, b = matrix[r1][c1], matrix[r1][c2]
-            c, d = matrix[r2][c1], matrix[r2][c2]
-            if (a, b, c, d) in ((1, 0, 0, 1), (0, 1, 1, 0)):
-                return False
-    return True
-
-
-def brute_force_lonesum_count(rows, cols):
-    count = 0
-    for bits in product((0, 1), repeat=rows * cols):
-        matrix = [list(bits[r * cols : (r + 1) * cols]) for r in range(rows)]
-        if is_lonesum(matrix, rows, cols):
-            count += 1
-    return count
 
 
 # -- Stirling numbers ------------------------------------------------------
@@ -218,13 +197,6 @@ def test_negative_index_duality_and_positivity():
             v = poly_bernoulli_negative(n, k)
             assert v == poly_bernoulli_negative(k, n)
             assert isinstance(v, int) and v > 0
-
-
-def test_negative_index_counts_lonesum_matrices():
-    assert poly_bernoulli_negative(1, 1) == brute_force_lonesum_count(1, 1) == 2
-    assert poly_bernoulli_negative(2, 2) == brute_force_lonesum_count(2, 2) == 14
-    for rows, cols in [(1, 2), (2, 1), (2, 3), (3, 2), (3, 3)]:
-        assert poly_bernoulli_negative(rows, cols) == brute_force_lonesum_count(rows, cols)
 
 
 # -- poly-Bernoulli polynomials --------------------------------------------

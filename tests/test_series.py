@@ -346,6 +346,14 @@ def test_compose_rejects_polynomial_coefficients():
         assert hash(got) == hash(expected)
 
 
+def test_compose_refuses_a_polynomial_coefficient_past_the_result_order():
+    # the result has order 1, so outer's LA at t^3 never reaches it; still refused
+    with pytest.raises(ValueError, match="rational coefficients"):
+        ps_compose(PowerSeries([1, 0, 0, LA]), series_of(0, 1))
+    with pytest.raises(ValueError, match="rational coefficients"):
+        ps_compose(series_of(1, 2), PowerSeries([0, 1, 0, LA]))
+
+
 # -- exp and calculus ------------------------------------------------------
 
 

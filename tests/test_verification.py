@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from polybernoulli import series, verification
+from polybernoulli import cli, series, verification
+from polybernoulli.exact import format_rational
 from polybernoulli.generalized import gen_pb_numbers
 from polybernoulli.reports import all_passed
 from polybernoulli.verification import (
@@ -68,6 +69,23 @@ def test_a_planted_defect_in_the_series_numerator_fails_every_oracle_line(monkey
     (iterated,) = verify_iterated_integral(n_max=6)
     (anchor,) = verify_gen_numbers_anchor(n_max=6, ks=range(-2, 3))
     assert not closed_form.passed and not iterated.passed and not anchor.passed
+
+
+def test_a_failing_case_past_the_digit_limit_reports_its_witness(monkeypatch, capsys):
+    # at k = 5000 the n = 3 values have over 4300 digits, past what str() of an int writes
+    plain = verification.poly_bernoulli
+    monkeypatch.setattr(verification, "poly_bernoulli", lambda n, k: plain(n, k) + (n == 3))
+    closed_form = run_suite("oracle", n_max=3, k_min=5000, k_max=5000)[0]
+    assert not closed_form.passed
+    planted = format_rational(plain(3, 5000) + 1)
+    assert len(planted) > 4300
+    assert closed_form.witness == f"n=3 k=5000: {planted[:225]}..."
+    argv = ["verify", "--suite", "oracle", "--n-max", "3", "--k-min", "5000", "--k-max", "5000"]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ORACLE  FAIL ") and "k=5000..5000" in lines[0]
+    assert lines[1] == f"        witness: {closed_form.witness}"
+    assert lines[-1] == "FAILED: 4/6 identity checks passed"
 
 
 def test_run_suite_selects_one_family():
